@@ -91,23 +91,27 @@
 // TestShardedWorkloadSpeedup).
 //
 // A running world is also snapshottable: World.Checkpoint serializes the
-// complete simulation state — simclock time and pending timers (through a
-// typed-event registry whose codecs persist each registered event kind;
-// closures on the heap are drained first or rejected loudly), in-flight
+// complete simulation state — simclock time and pending timers, in-flight
 // packets and per-path weather, TCP connections mid-transfer with
-// segment-object sharing preserved for live senders, server sessions and
-// free-lists, arrival-cell cursors, and every RNG stream's draw count —
+// segment-object sharing preserved for live senders, server sessions,
+// arrival-cell cursors, and every RNG stream's draw count —
 // version-stamped with a hash of the world's Options so a mismatched
-// resume fails loudly. The contract is byte-identity: study.Resume on a
-// snapshot cut at any instant completes with records byte-identical to
-// the straight-through run (TestCheckpointResumeByteIdentical, under
-// -race in CI). A named study.Fork instead re-derives every RNG stream
-// from the fork name and may override divergent-phase conditions
-// (dynamics, controller, selection, intensities); campaign.RunWarmForks
-// builds the shared warm prefix once and fans N forks across the worker
-// pool from one read-only snapshot — an 8-fork sweep warm-started at 60%
-// of the horizon runs >=2x faster than cold (BenchmarkCampaignWarmFork,
-// BENCH_pr10.json, fenced by TestWarmForkSpeedup).
+// resume fails loudly. Each checkpointed type has one layout function over
+// a snap.Codec that both encodes and decodes; restore-only wiring
+// (connection re-registration, segment references, clip lookup, fork RNG
+// re-derivation) lives in its `if c.Loading()` blocks, and
+// simclock.Clock.SnapTimer is the one place a checkpointed event is
+// re-armed. The contract is byte-identity: study.Resume on a snapshot cut
+// at any instant completes with records byte-identical to the
+// straight-through run (TestCheckpointResumeByteIdentical, under -race in
+// CI), and TestSnapshotGolden pins the snapshot bytes themselves. A named
+// study.Fork instead re-derives every RNG stream from the fork name and
+// may override divergent-phase conditions (dynamics, controller,
+// selection, intensities); campaign.RunWarmForks builds the shared warm
+// prefix once and fans N forks across the worker pool from one read-only
+// snapshot — an 8-fork sweep warm-started at 60% of the horizon runs >=2x
+// faster than cold (BenchmarkCampaignWarmFork, BENCH_pr10.json, fenced by
+// TestWarmForkSpeedup).
 //
 // Entry points: internal/core (run the study via RunStudy, stream it into
 // mergeable figure aggregates via RunStudyAggregates, fan multi-scenario

@@ -22,13 +22,11 @@ func init() {
 	simclock.RegisterEventKind("netsim.packet", &Packet{})
 }
 
-// PayloadCodec serializes the opaque packet payloads netsim carries by
-// reference. The transport layer provides the implementation; netsim cannot
-// depend on it.
-type PayloadCodec struct {
-	Encode func(*snap.Writer, any) error
-	Decode func(*snap.Reader) (any, error)
-}
+// PayloadCodec runs the opaque packet payloads netsim carries by reference
+// through a codec: encoding writes *payload, decoding stores the decoded
+// payload into it. The transport layer provides the implementation; netsim
+// cannot depend on it.
+type PayloadCodec func(c *snap.Codec, payload *any)
 
 // pathEntry pairs an ordered host pair with its path state for a
 // deterministic checkpoint walk.
@@ -63,270 +61,197 @@ func (n *Network) sortedPaths() []pathEntry {
 	return out
 }
 
-// Checkpoint writes the network's core dynamic state: RNG positions,
+// Snap runs the network's core dynamic state through c: RNG positions,
 // counters, the interning table, attached hosts and path state. In-flight
-// packets are written separately by CheckpointPackets — their payloads may
-// reference transport connections, which the world serializes between the
-// two calls so packet payload references can resolve against restored conns.
-func (n *Network) Checkpoint(sw *snap.Writer) error {
-	if n.fab != nil {
-		return fmt.Errorf("netsim: sharded networks cannot be checkpointed")
-	}
-	sw.Tag("netsim")
-
-	seed, count := n.drng.State()
-	sw.I64(seed)
-	sw.U64(count)
-	sw.Bool(n.dyn != nil)
-	if n.dyn != nil {
-		dseed, dcount := n.dyn.drng.State()
-		sw.I64(dseed)
-		sw.U64(dcount)
-	}
-	sw.U64(n.sent)
-	sw.U64(n.delivered)
-	sw.U64(n.dropped)
-
-	// Interning table, in ID order. Restore replays it through Intern so a
-	// rebuilt world's name->ID assignment matches the snapshot exactly.
-	sw.Tag("hosts")
-	sw.U32(uint32(len(n.names) - 1))
-	for _, name := range n.names[1:] {
-		sw.Str(name)
-	}
-	attached := 0
-	for _, h := range n.hostTab {
-		if h != nil {
-			attached++
-		}
-	}
-	sw.U32(uint32(attached))
-	for id := 1; id < len(n.hostTab); id++ {
-		h := n.hostTab[id]
-		if h == nil {
-			continue
-		}
-		sw.I64(int64(id))
-		sw.F64(h.cfg.Access.DownKbps)
-		sw.F64(h.cfg.Access.UpKbps)
-		sw.Dur(h.cfg.Access.QueueDelayMax)
-		sw.Dur(h.cfg.Access.BaseDelay)
-		sw.Dur(h.upBusyUntil)
-		sw.Dur(h.downBusyUntil)
-	}
-
-	sw.Tag("paths")
-	paths := n.sortedPaths()
-	sw.U32(uint32(len(paths)))
-	for _, pe := range paths {
-		p := pe.p
-		sw.I64(int64(pe.from))
-		sw.I64(int64(pe.to))
-		sw.Dur(p.busyUntil)
-		// CongestionMean/Var can be overridden after path creation
-		// (SetCongestionMean); everything else in the route is rederived
-		// from the RouteTable.
-		sw.F64(p.route.CongestionMean)
-		sw.F64(p.route.CongestionVar)
-		sw.F64(p.congestion)
-		sw.Dur(p.lastResample)
-		sw.Bool(p.dynMatched)
-		sw.U32(uint32(len(p.dynEvents)))
-		for _, i := range p.dynEvents {
-			sw.Int(i)
-		}
-		sw.U32(uint32(len(p.ge)))
-		for _, g := range p.ge {
-			sw.Bool(g.bad)
-			sw.Dur(g.last)
-		}
-	}
-	return sw.Err()
-}
-
-// CheckpointPackets writes every in-flight packet of this network with its
-// scheduled (At, seq); see Checkpoint for why this is a separate section.
-func (n *Network) CheckpointPackets(sw *snap.Writer, pc PayloadCodec) error {
-	sw.Tag("packets")
-	var pkts []simclock.PendingEvent
-	for _, pe := range n.Clock.Pendings() {
-		if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
-			if pkt.edge {
-				return fmt.Errorf("netsim: edge-scheduled packet in classic checkpoint")
-			}
-			pkts = append(pkts, pe)
-		}
-	}
-	sw.U32(uint32(len(pkts)))
-	for _, pe := range pkts {
-		pkt := pe.Handler.(*Packet)
-		sw.Dur(pe.At)
-		sw.U64(pe.Seq)
-		sw.Str(string(pkt.From))
-		sw.Str(string(pkt.To))
-		sw.I64(int64(pkt.FromID))
-		sw.I64(int64(pkt.ToID))
-		sw.I64(int64(pkt.FromPort))
-		sw.I64(int64(pkt.ToPort))
-		sw.Int(pkt.Size)
-		if err := pc.Encode(sw, pkt.Payload); err != nil {
-			return fmt.Errorf("netsim: packet payload: %w", err)
-		}
-	}
-	return sw.Err()
-}
-
-// Restore overlays checkpointed state onto a freshly rebuilt network. The
-// caller must already have rebuilt the static world (build-time hosts
-// attached, dynamics schedule reinstalled when applicable) and Reset the
-// clock to the snapshot's scalars; Restore re-interns the name table,
-// re-attaches runtime hosts, overlays path and queue state, and re-arms
-// in-flight packets with their original (At, seq).
+// packets run separately through SnapPackets — their payloads may
+// reference transport connections, which the world runs between the two
+// calls so packet payload references can resolve against restored conns.
 //
-// restoreDynamics must be false when the restored world runs a different
-// dynamics schedule than the checkpointed one (a fork): the per-path event
-// indices and chain state then refer to the old schedule and are discarded,
-// along with the old dynamics draw stream.
-func (n *Network) Restore(sr *snap.Reader, restoreDynamics bool) error {
+// Decoding overlays the state onto a freshly rebuilt network: the caller
+// must already have rebuilt the static world (build-time hosts attached,
+// dynamics schedule reinstalled when applicable) and Reset the clock to the
+// snapshot's scalars. Decoding re-interns the name table, re-attaches
+// runtime hosts and overlays path and queue state. keepDynamics must be
+// false when the restored world runs a different dynamics schedule than the
+// checkpointed one (a fork): the per-path event indices and chain state
+// then refer to the old schedule and are discarded, along with the old
+// dynamics draw stream.
+func (n *Network) Snap(c *snap.Codec, keepDynamics bool) {
 	if n.fab != nil {
-		return fmt.Errorf("netsim: sharded networks cannot be restored")
+		c.Fail(fmt.Errorf("netsim: sharded networks cannot be checkpointed"))
+		return
 	}
-	sr.Tag("netsim")
-
-	seed := sr.I64()
-	count := sr.U64()
-	if sr.Err() == nil {
+	c.Tag("netsim")
+	seed, count := n.drng.State()
+	c.I64(&seed)
+	c.U64(&count)
+	if c.Loading() && c.Err() == nil {
 		n.drng = detrand.Restore(seed, count)
 		n.rng = n.drng.Rand
 	}
-	if sr.Bool() {
-		dseed := sr.I64()
-		dcount := sr.U64()
-		if restoreDynamics && n.dyn != nil && sr.Err() == nil {
+	hasDyn := n.dyn != nil
+	c.Bool(&hasDyn)
+	if hasDyn {
+		var dseed int64
+		var dcount uint64
+		if n.dyn != nil {
+			dseed, dcount = n.dyn.drng.State()
+		}
+		c.I64(&dseed)
+		c.U64(&dcount)
+		if c.Loading() && keepDynamics && n.dyn != nil && c.Err() == nil {
 			n.dyn.drng = detrand.Restore(dseed, dcount)
 			n.dyn.rng = n.dyn.drng.Rand
 		}
 	}
-	n.sent = sr.U64()
-	n.delivered = sr.U64()
-	n.dropped = sr.U64()
+	c.U64(&n.sent)
+	c.U64(&n.delivered)
+	c.U64(&n.dropped)
 
-	sr.Tag("hosts")
-	names := int(sr.U32())
-	for i := 0; i < names; i++ {
-		name := sr.Str()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		if id := n.Intern(name); id != HostID(i+1) {
-			return fmt.Errorf("netsim: restore interning mismatch: %q got ID %d, want %d (world rebuilt differently than checkpointed)", name, id, i+1)
+	// Interning table, in ID order. Decoding replays it through Intern so a
+	// rebuilt world's name->ID assignment matches the snapshot exactly.
+	c.Tag("hosts")
+	var names []string
+	if !c.Loading() {
+		names = n.names[1:]
+	}
+	snap.Slice(c, &names, (*snap.Codec).Str)
+	for i := 0; i < len(names) && c.Loading() && c.Err() == nil; i++ {
+		if id := n.Intern(names[i]); id != HostID(i+1) {
+			c.Fail(fmt.Errorf("netsim: restore interning mismatch: %q got ID %d, want %d (world rebuilt differently than checkpointed)", names[i], id, i+1))
 		}
 	}
-	attached := int(sr.U32())
-	for i := 0; i < attached; i++ {
-		id := HostID(sr.I64())
-		var prof AccessProfile
-		prof.DownKbps = sr.F64()
-		prof.UpKbps = sr.F64()
-		prof.QueueDelayMax = sr.Dur()
-		prof.BaseDelay = sr.Dur()
-		up := sr.Dur()
-		down := sr.Dur()
-		if sr.Err() != nil {
-			return sr.Err()
+	var attached []HostID
+	for id := 1; id < len(n.hostTab) && !c.Loading(); id++ {
+		if n.hostTab[id] != nil {
+			attached = append(attached, HostID(id))
 		}
-		if id <= 0 || int(id) >= len(n.hostTab) {
-			return fmt.Errorf("netsim: restore host ID %d out of range", id)
-		}
-		h := n.lookup(id)
-		if h == nil {
-			n.AddHost(HostConfig{Name: n.names[id], Access: prof})
-			h = n.hostTab[id]
-		} else if h.cfg.Access != prof {
-			return fmt.Errorf("netsim: restore host %q access profile mismatch", n.names[id])
-		}
-		h.upBusyUntil, h.downBusyUntil = up, down
 	}
+	snap.Slice(c, &attached, n.snapHost)
 
-	sr.Tag("paths")
-	paths := int(sr.U32())
-	for i := 0; i < paths; i++ {
-		from := HostID(sr.I64())
-		to := HostID(sr.I64())
-		busy := sr.Dur()
-		congMean := sr.F64()
-		congVar := sr.F64()
-		cong := sr.F64()
-		last := sr.Dur()
-		dynMatched := sr.Bool()
-		events := make([]int, int(sr.U32()))
-		for j := range events {
-			events[j] = sr.Int()
-		}
-		ge := make([]geState, int(sr.U32()))
-		for j := range ge {
-			ge[j].bad = sr.Bool()
-			ge[j].last = sr.Dur()
-		}
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		if int(from) >= len(n.names) || int(to) >= len(n.names) || from <= 0 || to <= 0 {
-			return fmt.Errorf("netsim: restore path (%d,%d) out of range", from, to)
-		}
-		p := n.path(from, to)
-		p.busyUntil = busy
-		p.route.CongestionMean = congMean
-		p.route.CongestionVar = congVar
-		p.congestion = cong
-		p.lastResample = last
-		if restoreDynamics && n.dyn != nil {
-			p.dynMatched = dynMatched
-			if len(events) > 0 {
-				p.dynEvents = events
-			}
-			if len(ge) > 0 {
-				p.ge = ge
-			}
-		}
+	c.Tag("paths")
+	var paths []pathEntry
+	if !c.Loading() {
+		paths = n.sortedPaths()
 	}
-	return sr.Err()
+	snap.Slice(c, &paths, func(c *snap.Codec, pe *pathEntry) {
+		if c.Loading() {
+			pe.p = &pathState{}
+		}
+		p := pe.p
+		snap.I64Of(c, &pe.from)
+		snap.I64Of(c, &pe.to)
+		c.Dur(&p.busyUntil)
+		// CongestionMean/Var can be overridden after path creation
+		// (SetCongestionMean); everything else in the route is rederived
+		// from the RouteTable.
+		c.F64(&p.route.CongestionMean)
+		c.F64(&p.route.CongestionVar)
+		c.F64(&p.congestion)
+		c.Dur(&p.lastResample)
+		c.Bool(&p.dynMatched)
+		snap.Slice(c, &p.dynEvents, (*snap.Codec).Int)
+		snap.Slice(c, &p.ge, func(c *snap.Codec, g *geState) {
+			c.Bool(&g.bad)
+			c.Dur(&g.last)
+		})
+		if c.Loading() && c.Err() == nil {
+			n.restorePath(c, *pe, keepDynamics)
+		}
+	})
 }
 
-// RestorePackets re-injects the in-flight packets written by
-// CheckpointPackets, re-arming each with its original (At, seq). Call after
-// the world's transport connections are restored: the payload codec may
-// resolve segment references against them.
-func (n *Network) RestorePackets(sr *snap.Reader, pc PayloadCodec) error {
-	sr.Tag("packets")
-	pkts := int(sr.U32())
-	for i := 0; i < pkts; i++ {
-		at := sr.Dur()
-		seq := sr.U64()
-		from := Addr(sr.Str())
-		to := Addr(sr.Str())
-		fromID := HostID(sr.I64())
-		toID := HostID(sr.I64())
-		fromPort := int32(sr.I64())
-		toPort := int32(sr.I64())
-		size := sr.Int()
-		payload, err := pc.Decode(sr)
-		if err != nil {
-			return fmt.Errorf("netsim: packet payload: %w", err)
-		}
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		pkt := n.Obtain()
-		pkt.From, pkt.To = from, to
-		pkt.FromID, pkt.ToID = fromID, toID
-		pkt.FromPort, pkt.ToPort = fromPort, toPort
-		pkt.Size = size
-		pkt.Payload = payload
-		pkt.net = n
-		n.Clock.Arm(at, seq, pkt)
+// snapHost runs one attached host's access config and fluid-queue state;
+// decoding re-attaches a runtime host the rebuilt world lacks and checks
+// a build-time one matches.
+func (n *Network) snapHost(c *snap.Codec, id *HostID) {
+	snap.I64Of(c, id)
+	h := &host{}
+	if !c.Loading() {
+		h = n.hostTab[*id]
 	}
-	return sr.Err()
+	c.F64(&h.cfg.Access.DownKbps)
+	c.F64(&h.cfg.Access.UpKbps)
+	c.Dur(&h.cfg.Access.QueueDelayMax)
+	c.Dur(&h.cfg.Access.BaseDelay)
+	c.Dur(&h.upBusyUntil)
+	c.Dur(&h.downBusyUntil)
+	if !c.Loading() || c.Err() != nil {
+		return
+	}
+	if *id <= 0 || int(*id) >= len(n.hostTab) {
+		c.Fail(fmt.Errorf("netsim: restore host ID %d out of range", *id))
+		return
+	}
+	live := n.lookup(*id)
+	if live == nil {
+		n.AddHost(HostConfig{Name: n.names[*id], Access: h.cfg.Access})
+		live = n.hostTab[*id]
+	} else if live.cfg.Access != h.cfg.Access {
+		c.Fail(fmt.Errorf("netsim: restore host %q access profile mismatch", n.names[*id]))
+		return
+	}
+	live.upBusyUntil, live.downBusyUntil = h.upBusyUntil, h.downBusyUntil
+}
+
+// restorePath overlays one decoded path record onto the rebuilt network.
+func (n *Network) restorePath(c *snap.Codec, pe pathEntry, keepDynamics bool) {
+	if int(pe.from) >= len(n.names) || int(pe.to) >= len(n.names) || pe.from <= 0 || pe.to <= 0 {
+		c.Fail(fmt.Errorf("netsim: restore path (%d,%d) out of range", pe.from, pe.to))
+		return
+	}
+	p := n.path(pe.from, pe.to)
+	p.busyUntil = pe.p.busyUntil
+	p.route.CongestionMean = pe.p.route.CongestionMean
+	p.route.CongestionVar = pe.p.route.CongestionVar
+	p.congestion = pe.p.congestion
+	p.lastResample = pe.p.lastResample
+	if keepDynamics && n.dyn != nil {
+		p.dynMatched = pe.p.dynMatched
+		if len(pe.p.dynEvents) > 0 {
+			p.dynEvents = pe.p.dynEvents
+		}
+		if len(pe.p.ge) > 0 {
+			p.ge = pe.p.ge
+		}
+	}
+}
+
+// SnapPackets runs every in-flight packet of this network through c with
+// its scheduled (At, seq); decoding re-injects each packet at its original
+// slot. See Snap for why this is a separate section: decode it after the
+// world's transport connections, since pc may resolve segment references
+// against them.
+func (n *Network) SnapPackets(c *snap.Codec, pc PayloadCodec) {
+	c.Tag("packets")
+	var pkts []simclock.PendingEvent
+	if !c.Loading() {
+		for _, pe := range n.Clock.Pendings() {
+			if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
+				if pkt.edge {
+					c.Fail(fmt.Errorf("netsim: edge-scheduled packet in classic checkpoint"))
+					return
+				}
+				pkts = append(pkts, pe)
+			}
+		}
+	}
+	snap.Slice(c, &pkts, func(c *snap.Codec, pe *simclock.PendingEvent) {
+		pkt, _ := pe.Handler.(*Packet)
+		if c.Loading() {
+			pkt = n.Obtain()
+			pkt.net = n
+		}
+		n.Clock.SnapSlot(c, &pe.Timer, pkt)
+		snap.StrOf(c, &pkt.From)
+		snap.StrOf(c, &pkt.To)
+		snap.I64Of(c, &pkt.FromID)
+		snap.I64Of(c, &pkt.ToID)
+		snap.I64Of(c, &pkt.FromPort)
+		snap.I64Of(c, &pkt.ToPort)
+		c.Int(&pkt.Size)
+		pc(c, &pkt.Payload)
+	})
 }
 
 // RNGState exposes the base draw stream's position for tests.

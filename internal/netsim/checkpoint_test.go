@@ -18,14 +18,10 @@ type delivery struct {
 }
 
 // i64Codec persists the test's int64 payloads.
-var i64Codec = PayloadCodec{
-	Encode: func(sw *snap.Writer, v any) error {
-		sw.I64(v.(int64))
-		return sw.Err()
-	},
-	Decode: func(sr *snap.Reader) (any, error) {
-		return sr.I64(), sr.Err()
-	},
+func i64Codec(c *snap.Codec, v *any) {
+	x, _ := (*v).(int64)
+	c.I64(&x)
+	*v = x
 }
 
 // ckptWorld is a tiny two-host world with loss, jitter, a capacity
@@ -81,15 +77,16 @@ func (w *ckptWorld) drive(from, to int) {
 
 func checkpointNet(t *testing.T, n *Network) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	if err := n.Checkpoint(sw); err != nil {
+	c := snap.NewEncoder()
+	n.Snap(c, true)
+	if err := c.Err(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if err := n.CheckpointPackets(sw, i64Codec); err != nil {
+	n.SnapPackets(c, i64Codec)
+	if err := c.Err(); err != nil {
 		t.Fatalf("checkpoint packets: %v", err)
 	}
-	return buf.Bytes()
+	return c.Encoded()
 }
 
 // TestNetworkCheckpointRoundTrip drives traffic to a mid-flight instant,
@@ -109,12 +106,12 @@ func TestNetworkCheckpointRoundTrip(t *testing.T) {
 	// Rebuild the static world exactly as a fresh build would, then overlay.
 	w2 := newCkptWorld()
 	w2.clock.Reset(w1.clock.Now(), w1.clock.Seq(), w1.clock.Fired())
-	sr := snap.NewReader(bytes.NewReader(snapBytes))
-	if err := w2.net.Restore(sr, true); err != nil {
-		t.Fatalf("restore: %v", err)
+	dec := snap.NewDecoder(snapBytes)
+	if w2.net.Snap(dec, true); dec.Err() != nil {
+		t.Fatalf("restore: %v", dec.Err())
 	}
-	if err := w2.net.RestorePackets(sr, i64Codec); err != nil {
-		t.Fatalf("restore packets: %v", err)
+	if w2.net.SnapPackets(dec, i64Codec); dec.Err() != nil {
+		t.Fatalf("restore packets: %v", dec.Err())
 	}
 	if got, want := w2.clock.Pending(), w1.clock.Pending(); got != want {
 		t.Fatalf("restored %d in-flight packets, original holds %d", got, want)
@@ -159,7 +156,9 @@ func TestNetworkRestoreRejectsInterningMismatch(t *testing.T) {
 	n2 := New(clock, StaticRoute{}, 42)
 	n2.AddHost(HostConfig{Name: "z", Access: DefaultAccessProfile(AccessServer)})
 	clock.Reset(w1.clock.Now(), w1.clock.Seq(), w1.clock.Fired())
-	err := n2.Restore(snap.NewReader(bytes.NewReader(snapBytes)), false)
+	dec := snap.NewDecoder(snapBytes)
+	n2.Snap(dec, false)
+	err := dec.Err()
 	if err == nil {
 		t.Fatal("restore into a mismatched world succeeded")
 	}

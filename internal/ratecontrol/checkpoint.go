@@ -13,67 +13,47 @@ const (
 	ctlUnresponsive = 3
 )
 
-// Persist writes a controller's full state for a world checkpoint, tagged by
-// concrete type so Restore rebuilds the same controller mid-trajectory.
-func Persist(sw *snap.Writer, c Controller) error {
-	switch t := c.(type) {
+// Snap runs a controller's full state through c for a world checkpoint,
+// tagged by concrete type so decoding rebuilds the same controller
+// mid-trajectory into *ctl.
+func Snap(c *snap.Codec, ctl *Controller) {
+	var tag uint8
+	switch (*ctl).(type) {
 	case *AIMD:
-		sw.U8(ctlAIMD)
-		sw.F64(t.lim.MinKbps)
-		sw.F64(t.lim.MaxKbps)
-		sw.F64(t.rate)
-		sw.F64(t.IncKbps)
-		sw.F64(t.DecMult)
+		tag = ctlAIMD
 	case *TFRC:
-		sw.U8(ctlTFRC)
-		sw.F64(t.lim.MinKbps)
-		sw.F64(t.lim.MaxKbps)
-		sw.F64(t.rate)
-		sw.Int(t.PacketSize)
-		sw.F64(t.lossEMA)
-		sw.F64(t.rttEMA)
-		sw.Bool(t.seen)
-		sw.Bool(t.everLost)
-		sw.Int(t.cleanStreak)
+		tag = ctlTFRC
 	case *Unresponsive:
-		sw.U8(ctlUnresponsive)
-		sw.F64(t.Kbps)
+		tag = ctlUnresponsive
 	default:
-		return fmt.Errorf("ratecontrol: cannot snapshot controller type %T", c)
-	}
-	return sw.Err()
-}
-
-// Restore reads a controller written by Persist.
-func Restore(sr *snap.Reader) (Controller, error) {
-	switch tag := sr.U8(); tag {
-	case ctlAIMD:
-		a := &AIMD{}
-		a.lim.MinKbps = sr.F64()
-		a.lim.MaxKbps = sr.F64()
-		a.rate = sr.F64()
-		a.IncKbps = sr.F64()
-		a.DecMult = sr.F64()
-		return a, sr.Err()
-	case ctlTFRC:
-		t := &TFRC{}
-		t.lim.MinKbps = sr.F64()
-		t.lim.MaxKbps = sr.F64()
-		t.rate = sr.F64()
-		t.PacketSize = sr.Int()
-		t.lossEMA = sr.F64()
-		t.rttEMA = sr.F64()
-		t.seen = sr.Bool()
-		t.everLost = sr.Bool()
-		t.cleanStreak = sr.Int()
-		return t, sr.Err()
-	case ctlUnresponsive:
-		u := &Unresponsive{Kbps: sr.F64()}
-		return u, sr.Err()
-	default:
-		if sr.Err() != nil {
-			return nil, sr.Err()
+		if !c.Loading() {
+			c.Fail(fmt.Errorf("ratecontrol: cannot snapshot controller type %T", *ctl))
+			return
 		}
-		return nil, fmt.Errorf("ratecontrol: unknown controller tag %d", tag)
+	}
+	c.U8(&tag)
+	switch tag {
+	case ctlAIMD:
+		t := snap.Make[AIMD](c, ctl)
+		c.F64(&t.lim.MinKbps)
+		c.F64(&t.lim.MaxKbps)
+		c.F64(&t.rate)
+		c.F64(&t.IncKbps)
+		c.F64(&t.DecMult)
+	case ctlTFRC:
+		t := snap.Make[TFRC](c, ctl)
+		c.F64(&t.lim.MinKbps)
+		c.F64(&t.lim.MaxKbps)
+		c.F64(&t.rate)
+		c.Int(&t.PacketSize)
+		c.F64(&t.lossEMA)
+		c.F64(&t.rttEMA)
+		c.Bool(&t.seen)
+		c.Bool(&t.everLost)
+		c.Int(&t.cleanStreak)
+	case ctlUnresponsive:
+		c.F64(&snap.Make[Unresponsive](c, ctl).Kbps)
+	default:
+		c.Fail(fmt.Errorf("ratecontrol: unknown controller tag %d", tag))
 	}
 }

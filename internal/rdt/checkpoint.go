@@ -6,174 +6,88 @@ import (
 	"realtracer/internal/snap"
 )
 
-// Persist writes the packet field-exactly for a world checkpoint. The wire
-// codec (Encode/Decode) is deliberately not reused: it materializes the
-// simulation's Payload==nil/PadLen representation into real zero bytes, and
-// a restored world must keep the allocation-free representation the
-// straight-through run carries.
-func (p *Packet) Persist(sw *snap.Writer) {
-	sw.Tag("rdt")
-	sw.U8(uint8(p.Kind))
+// Snap runs the packet field-exactly through c for a world checkpoint. The
+// wire codec (Encode/Decode) is deliberately not reused: it materializes
+// the simulation's Payload==nil/PadLen representation into real zero bytes,
+// and a restored world must keep the allocation-free representation the
+// straight-through run carries. Decoding fills a zero Packet.
+func (p *Packet) Snap(c *snap.Codec) {
+	c.Tag("rdt")
+	snap.U8Of(c, &p.Kind)
 	switch p.Kind {
 	case TypeData:
-		p.Data.Persist(sw)
+		snap.Make[Data](c, &p.Data).Snap(c)
 	case TypeReport:
-		p.Report.Persist(sw)
+		snap.Make[Report](c, &p.Report).Snap(c)
 	case TypeRepair:
-		r := p.Repair
-		sw.U8(uint8(r.Stream))
-		sw.U32(r.BaseSeq)
-		sw.U8(r.Group)
-		sw.U32(uint32(len(r.Meta)))
-		for i := range r.Meta {
-			r.Meta[i].Persist(sw)
-		}
-		sw.Bool(r.Parity != nil)
-		if r.Parity != nil {
-			sw.Bytes(r.Parity)
-		} else {
-			sw.Int(r.PadLen)
-		}
+		r := snap.Make[Repair](c, &p.Repair)
+		snap.U8Of(c, &r.Stream)
+		c.U32(&r.BaseSeq)
+		c.U8(&r.Group)
+		snap.Slice(c, &r.Meta, SnapRepairMeta)
+		snapPadded(c, &r.Parity, &r.PadLen)
 	case TypeBufferState:
-		sw.U32(p.BufferState.Ms)
-		sw.U32(p.BufferState.Target)
+		b := snap.Make[BufferState](c, &p.BufferState)
+		c.U32(&b.Ms)
+		c.U32(&b.Target)
 	case TypeEndOfStream:
-		sw.U32(p.EOS.FinalSeq)
+		c.U32(&snap.Make[EndOfStream](c, &p.EOS).FinalSeq)
 	case TypeNack:
-		sw.U8(uint8(p.Nack.Stream))
-		sw.U32(uint32(len(p.Nack.Seqs)))
-		for _, s := range p.Nack.Seqs {
-			sw.U32(s)
-		}
-	}
-}
-
-// Persist writes one media Data field-exactly, preserving the
-// Payload-nil/PadLen distinction.
-func (d *Data) Persist(sw *snap.Writer) {
-	sw.U8(uint8(d.Stream))
-	sw.U32(d.Seq)
-	sw.U32(d.MediaTime)
-	sw.U8(d.Flags)
-	sw.U64(uint64(d.EncRate))
-	sw.U32(d.FrameIndex)
-	sw.U8(d.FragIndex)
-	sw.U8(d.FragCount)
-	sw.Bool(d.Payload != nil)
-	if d.Payload != nil {
-		sw.Bytes(d.Payload)
-	} else {
-		sw.Int(d.PadLen)
-	}
-}
-
-// RestoreDataInto overlays a Data written by Persist onto d (typically an
-// arena cell owned by the restoring session).
-func RestoreDataInto(sr *snap.Reader, d *Data) {
-	d.Stream = StreamID(sr.U8())
-	d.Seq = sr.U32()
-	d.MediaTime = sr.U32()
-	d.Flags = sr.U8()
-	d.EncRate = uint16(sr.U64())
-	d.FrameIndex = sr.U32()
-	d.FragIndex = sr.U8()
-	d.FragCount = sr.U8()
-	if sr.Bool() {
-		d.Payload = sr.Bytes()
-	} else {
-		d.PadLen = sr.Int()
-	}
-}
-
-// Persist writes one receiver Report.
-func (r *Report) Persist(sw *snap.Writer) {
-	sw.U32(r.Expected)
-	sw.U32(r.Lost)
-	sw.U64(uint64(r.RateKbps))
-	sw.U64(uint64(r.JitterMs))
-	sw.U64(uint64(r.BufferMs))
-	sw.U64(uint64(r.RTTMs))
-}
-
-// RestoreReportInto overlays a Report written by Persist onto r.
-func RestoreReportInto(sr *snap.Reader, r *Report) {
-	r.Expected = sr.U32()
-	r.Lost = sr.U32()
-	r.RateKbps = uint16(sr.U64())
-	r.JitterMs = uint16(sr.U64())
-	r.BufferMs = uint16(sr.U64())
-	r.RTTMs = uint16(sr.U64())
-}
-
-// Persist writes one FEC group-member record.
-func (m *RepairMeta) Persist(sw *snap.Writer) {
-	sw.U32(m.Seq)
-	sw.U32(m.FrameIndex)
-	sw.U32(m.MediaTime)
-	sw.U8(m.FragIndex)
-	sw.U8(m.FragCount)
-	sw.U8(m.Flags)
-	sw.U64(uint64(m.EncRate))
-	sw.U64(uint64(m.Size))
-}
-
-// RestoreRepairMeta reads a RepairMeta written by Persist.
-func RestoreRepairMeta(sr *snap.Reader) RepairMeta {
-	var m RepairMeta
-	m.Seq = sr.U32()
-	m.FrameIndex = sr.U32()
-	m.MediaTime = sr.U32()
-	m.FragIndex = sr.U8()
-	m.FragCount = sr.U8()
-	m.Flags = sr.U8()
-	m.EncRate = uint16(sr.U64())
-	m.Size = uint16(sr.U64())
-	return m
-}
-
-// RestorePacket reads a packet written by Persist.
-func RestorePacket(sr *snap.Reader) (*Packet, error) {
-	sr.Tag("rdt")
-	p := &Packet{Kind: Type(sr.U8())}
-	switch p.Kind {
-	case TypeData:
-		d := &Data{}
-		RestoreDataInto(sr, d)
-		p.Data = d
-	case TypeReport:
-		r := &Report{}
-		RestoreReportInto(sr, r)
-		p.Report = r
-	case TypeRepair:
-		r := &Repair{}
-		r.Stream = StreamID(sr.U8())
-		r.BaseSeq = sr.U32()
-		r.Group = sr.U8()
-		n := int(sr.U32())
-		for i := 0; i < n; i++ {
-			r.Meta = append(r.Meta, RestoreRepairMeta(sr))
-		}
-		if sr.Bool() {
-			r.Parity = sr.Bytes()
-		} else {
-			r.PadLen = sr.Int()
-		}
-		p.Repair = r
-	case TypeBufferState:
-		p.BufferState = &BufferState{Ms: sr.U32(), Target: sr.U32()}
-	case TypeEndOfStream:
-		p.EOS = &EndOfStream{FinalSeq: sr.U32()}
-	case TypeNack:
-		nk := &Nack{Stream: StreamID(sr.U8())}
-		n := int(sr.U32())
-		for i := 0; i < n; i++ {
-			nk.Seqs = append(nk.Seqs, sr.U32())
-		}
-		p.Nack = nk
+		nk := snap.Make[Nack](c, &p.Nack)
+		snap.U8Of(c, &nk.Stream)
+		snap.Slice(c, &nk.Seqs, (*snap.Codec).U32)
 	default:
-		if sr.Err() == nil {
-			return nil, fmt.Errorf("rdt: restore of unknown packet kind %d", p.Kind)
+		if c.Loading() {
+			c.Fail(fmt.Errorf("rdt: restore of unknown packet kind %d", p.Kind))
 		}
 	}
-	return p, sr.Err()
+}
+
+// snapPadded runs a body that is either real bytes or, in simulation, a
+// nil slice standing for padLen zero bytes — preserving the distinction.
+func snapPadded(c *snap.Codec, b *[]byte, padLen *int) {
+	hasBytes := *b != nil
+	c.Bool(&hasBytes)
+	if hasBytes {
+		c.Bytes(b)
+	} else {
+		c.Int(padLen)
+	}
+}
+
+// Snap runs one media Data field-exactly, preserving the Payload-nil/PadLen
+// distinction. Decoding overlays d (typically an arena cell owned by the
+// restoring session).
+func (d *Data) Snap(c *snap.Codec) {
+	snap.U8Of(c, &d.Stream)
+	c.U32(&d.Seq)
+	c.U32(&d.MediaTime)
+	c.U8(&d.Flags)
+	snap.U64Of(c, &d.EncRate)
+	c.U32(&d.FrameIndex)
+	c.U8(&d.FragIndex)
+	c.U8(&d.FragCount)
+	snapPadded(c, &d.Payload, &d.PadLen)
+}
+
+// Snap runs one receiver Report.
+func (r *Report) Snap(c *snap.Codec) {
+	c.U32(&r.Expected)
+	c.U32(&r.Lost)
+	snap.U64Of(c, &r.RateKbps)
+	snap.U64Of(c, &r.JitterMs)
+	snap.U64Of(c, &r.BufferMs)
+	snap.U64Of(c, &r.RTTMs)
+}
+
+// SnapRepairMeta runs one FEC group-member record.
+func SnapRepairMeta(c *snap.Codec, m *RepairMeta) {
+	c.U32(&m.Seq)
+	c.U32(&m.FrameIndex)
+	c.U32(&m.MediaTime)
+	c.U8(&m.FragIndex)
+	c.U8(&m.FragCount)
+	c.U8(&m.Flags)
+	snap.U64Of(c, &m.EncRate)
+	snap.U64Of(c, &m.Size)
 }

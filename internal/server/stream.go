@@ -182,6 +182,13 @@ type checkArm streamSession
 func (x *checkArm) Fire(time.Duration) { (*streamSession)(x).check() }
 
 func (sess *streamSession) bindTCPData(conn transport.Conn) {
+	sess.attachTCPData(conn)
+	sess.maybeStart()
+}
+
+// attachTCPData installs conn as the session's data channel and its
+// feedback receiver.
+func (sess *streamSession) attachTCPData(conn transport.Conn) {
 	sess.dataTCP = conn
 	sess.backlogProbe, _ = conn.(interface{ QueueDepth() int })
 	conn.SetReceiver(func(payload any, _ int) {
@@ -191,7 +198,6 @@ func (sess *streamSession) bindTCPData(conn transport.Conn) {
 		}
 		sess.onFeedback(pkt)
 	})
-	sess.maybeStart()
 }
 
 func (sess *streamSession) play() {

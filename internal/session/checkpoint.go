@@ -20,77 +20,48 @@ const (
 // SnapCodec returns the application-payload codec for world checkpoints:
 // the three session-level payload types, each serialized field-exactly by
 // its own package.
-func SnapCodec() transport.AppCodec {
-	return transport.AppCodec{
-		Encode: func(sw *snap.Writer, payload any) error {
-			switch m := payload.(type) {
-			case *rtsp.Message:
-				sw.U8(snapRTSP)
-				m.Persist(sw)
-			case *rdt.Packet:
-				sw.U8(snapRDT)
-				m.Persist(sw)
-			case *DataHello:
-				sw.U8(snapHello)
-				sw.Str(m.SessionID)
-			default:
-				return fmt.Errorf("session: cannot snapshot payload type %T", payload)
-			}
-			return sw.Err()
-		},
-		Decode: func(sr *snap.Reader) (any, error) {
-			switch tag := sr.U8(); tag {
-			case snapRTSP:
-				return rtsp.RestoreMessage(sr), sr.Err()
-			case snapRDT:
-				return rdt.RestorePacket(sr)
-			case snapHello:
-				return &DataHello{SessionID: sr.Str()}, sr.Err()
-			default:
-				if sr.Err() != nil {
-					return nil, sr.Err()
-				}
-				return nil, fmt.Errorf("session: unknown snapshot payload tag %d", tag)
-			}
-		},
+func SnapCodec() transport.AppCodec { return snapPayload }
+
+func snapPayload(c *snap.Codec, payload *any) {
+	var tag uint8
+	switch (*payload).(type) {
+	case *rtsp.Message:
+		tag = snapRTSP
+	case *rdt.Packet:
+		tag = snapRDT
+	case *DataHello:
+		tag = snapHello
+	default:
+		if !c.Loading() {
+			c.Fail(fmt.Errorf("session: cannot snapshot payload type %T", *payload))
+			return
+		}
+	}
+	c.U8(&tag)
+	switch tag {
+	case snapRTSP:
+		snap.Make[rtsp.Message](c, payload).Snap(c)
+	case snapRDT:
+		snap.Make[rdt.Packet](c, payload).Snap(c)
+	case snapHello:
+		c.Str(&snap.Make[DataHello](c, payload).SessionID)
+	default:
+		c.Fail(fmt.Errorf("session: unknown snapshot payload tag %d", tag))
 	}
 }
 
-// Persist writes the clip description field-exactly.
-func (d *ClipDesc) Persist(sw *snap.Writer) {
-	sw.Tag("desc")
-	sw.Str(d.Title)
-	sw.Dur(d.Duration)
-	sw.Bool(d.Scalable)
-	sw.Bool(d.Live)
-	sw.U32(uint32(len(d.Encodings)))
-	for _, e := range d.Encodings {
-		sw.F64(e.TotalKbps)
-		sw.F64(e.AudioKbps)
-		sw.F64(e.FrameRate)
-		sw.Int(e.Width)
-		sw.Int(e.Height)
-	}
-}
-
-// RestoreClipDesc reads a record written by ClipDesc.Persist.
-func RestoreClipDesc(sr *snap.Reader) ClipDesc {
-	sr.Tag("desc")
-	d := ClipDesc{
-		Title:    sr.Str(),
-		Duration: sr.Dur(),
-		Scalable: sr.Bool(),
-		Live:     sr.Bool(),
-	}
-	n := int(sr.U32())
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		d.Encodings = append(d.Encodings, EncodingDesc{
-			TotalKbps: sr.F64(),
-			AudioKbps: sr.F64(),
-			FrameRate: sr.F64(),
-			Width:     sr.Int(),
-			Height:    sr.Int(),
-		})
-	}
-	return d
+// Snap runs the clip description field-exactly through c.
+func (d *ClipDesc) Snap(c *snap.Codec) {
+	c.Tag("desc")
+	c.Str(&d.Title)
+	c.Dur(&d.Duration)
+	c.Bool(&d.Scalable)
+	c.Bool(&d.Live)
+	snap.Slice(c, &d.Encodings, func(c *snap.Codec, e *EncodingDesc) {
+		c.F64(&e.TotalKbps)
+		c.F64(&e.AudioKbps)
+		c.F64(&e.FrameRate)
+		c.Int(&e.Width)
+		c.Int(&e.Height)
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"time"
+
+	"realtracer/internal/snap"
 )
 
 // This file is the scheduler half of the world-checkpoint seam: the clock's
@@ -16,8 +18,9 @@ import (
 // The contract: every pending event at checkpoint time must be a pooled
 // handler event of a registered type. Each registered type has exactly one
 // owner in the serialized world state (a connection's RTO, a session's pace
-// tick, an in-flight packet, ...); the owner persists the event's (At, seq)
-// alongside its own fields and re-arms it with Arm on restore. Closure
+// tick, an in-flight packet, ...); the owner runs the event's slot through
+// SnapTimer or SnapSlot alongside its own fields, which re-arms it on
+// restore. Closure
 // events (At/After) carry unserializable captured state — callers drain the
 // clock until PendingClosures reaches zero before checkpointing, or fail
 // with a clear error.
@@ -60,8 +63,8 @@ func (c *Clock) Seq() uint64 { return c.seq }
 
 // PendingEvent is one live scheduled event as seen by a checkpoint walk.
 type PendingEvent struct {
-	At  time.Duration
-	Seq uint64
+	// Timer addresses the event; its When reports the (At, seq) slot.
+	Timer Timer
 	// Handler is the pooled event's handler; nil for a closure event.
 	Handler EventHandler
 }
@@ -75,7 +78,7 @@ func (c *Clock) Pendings() []PendingEvent {
 		if e == nil || e.off {
 			return
 		}
-		out = append(out, PendingEvent{At: e.At, Seq: e.seq, Handler: e.h})
+		out = append(out, PendingEvent{Timer: Timer{e: e, gen: e.gen}, Handler: e.h})
 	}
 	for _, e := range c.near {
 		add(e)
@@ -93,7 +96,7 @@ func (c *Clock) Pendings() []PendingEvent {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sort.Slice(out, func(i, j int) bool { return out[i].Timer.e.seq < out[j].Timer.e.seq })
 	return out
 }
 
@@ -105,11 +108,12 @@ func (c *Clock) CheckPersistable() error {
 		return fmt.Errorf("simclock: %d closure event(s) pending; closures cannot be checkpointed (drain the clock first)", c.closures)
 	}
 	for _, p := range c.Pendings() {
+		at, seq, _ := p.Timer.When()
 		if p.Handler == nil {
-			return fmt.Errorf("simclock: pending closure event at %v (seq %d) cannot be checkpointed", p.At, p.Seq)
+			return fmt.Errorf("simclock: pending closure event at %v (seq %d) cannot be checkpointed", at, seq)
 		}
 		if _, ok := EventKindOf(p.Handler); !ok {
-			return fmt.Errorf("simclock: pending event at %v (seq %d) has unregistered handler type %T", p.At, p.Seq, p.Handler)
+			return fmt.Errorf("simclock: pending event at %v (seq %d) has unregistered handler type %T", at, seq, p.Handler)
 		}
 	}
 	return nil
@@ -118,7 +122,7 @@ func (c *Clock) CheckPersistable() error {
 // Reset wipes every pending event and positions the clock at the restored
 // scalar state: virtual time now, sequence counter seq, fired events fired.
 // The queue structures come back as an empty wheel; the caller re-arms the
-// checkpointed events with Arm.
+// checkpointed events through SnapTimer and SnapSlot.
 func (c *Clock) Reset(now time.Duration, seq, fired uint64) {
 	c.now, c.seq, c.fired = now, seq, fired
 	c.live, c.closures = 0, 0
@@ -136,20 +140,49 @@ func (c *Clock) Reset(now time.Duration, seq, fired uint64) {
 	}
 }
 
-// Arm schedules h.Fire at absolute time at with an explicit sequence number
-// — the restore-side counterpart of AtHandler. seq must come from a
-// checkpointed event of this clock (strictly below the restored Seq); the
-// clock's own counter is not advanced, so events scheduled after the
-// restore receive the same seqs they would have in a straight-through run.
-func (c *Clock) Arm(at time.Duration, seq uint64, h EventHandler) Timer {
+// SnapSlot runs one armed event's slot, (At, seq), through sc. Encoding
+// writes t's slot. Decoding reads a slot and re-arms h there with the
+// original sequence number, storing the new timer in *t: the clock's own
+// counter is not advanced, so events scheduled after the restore receive
+// the same seqs they would have in a straight-through run. A slot this
+// clock could not have issued — before now, or at or past the restored seq
+// counter — fails sc instead of arming.
+func (c *Clock) SnapSlot(sc *snap.Codec, t *Timer, h EventHandler) {
+	at, seq, _ := t.When()
+	sc.Dur(&at)
+	sc.U64(&seq)
+	if !sc.Loading() || sc.Err() != nil {
+		return
+	}
+	switch {
+	case at < c.now:
+		sc.Fail(fmt.Errorf("simclock: checkpointed event at %v before now %v", at, c.now))
+	case seq >= c.seq:
+		sc.Fail(fmt.Errorf("simclock: checkpointed event seq %d not below clock seq %d", seq, c.seq))
+	default:
+		*t = c.arm(at, seq, h)
+	}
+}
+
+// SnapTimer runs an owner's timer through sc as (armed, At, seq): SnapSlot
+// behind an armed flag. Fired, cancelled and zero timers encode as unarmed
+// — exactly the states in which re-arming on restore would be wrong — and
+// decode to the zero Timer.
+func (c *Clock) SnapTimer(sc *snap.Codec, t *Timer, h EventHandler) {
+	armed := t.Active()
+	sc.Bool(&armed)
+	if armed {
+		c.SnapSlot(sc, t, h)
+	} else if sc.Loading() {
+		*t = Timer{}
+	}
+}
+
+// arm schedules h.Fire at absolute time at with an explicit sequence
+// number, which must come from a checkpointed event of this clock.
+func (c *Clock) arm(at time.Duration, seq uint64, h EventHandler) Timer {
 	if h == nil {
-		panic("simclock: Arm with nil handler")
-	}
-	if at < c.now {
-		panic(fmt.Sprintf("simclock: Arm at %v before now %v", at, c.now))
-	}
-	if seq >= c.seq {
-		panic(fmt.Sprintf("simclock: Arm seq %d not below clock seq %d", seq, c.seq))
+		panic("simclock: arm with nil handler")
 	}
 	var e *Event
 	if k := len(c.free); k > 0 {
@@ -175,8 +208,7 @@ func (c *Clock) Arm(at time.Duration, seq uint64, h EventHandler) Timer {
 }
 
 // When reports the scheduled (At, seq) of the timer's event, with ok false
-// for a fired, cancelled, stale or zero handle. Owners persist their armed
-// timers as (At, seq) records through this accessor.
+// for a fired, cancelled, stale or zero handle.
 func (t Timer) When() (at time.Duration, seq uint64, ok bool) {
 	if !t.Active() {
 		return 0, 0, false

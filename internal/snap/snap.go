@@ -1,195 +1,318 @@
-// Package snap is the binary codec substrate for world checkpoints: a
-// Writer/Reader pair over primitive little-endian fields with section tags
-// for structural validation. The format favours debuggability over size —
-// fixed-width integers, length-prefixed byte strings, and a tag byte
-// sequence that makes a reader desynchronized from its writer fail fast
-// with the section names of both sides, instead of decoding garbage.
+// Package snap is the binary codec substrate for world checkpoints. A
+// Codec runs in one of two directions: an encoder appends fields to an
+// in-memory buffer, a decoder consumes them from an in-memory snapshot.
+// Every field method takes a pointer — c.U64(&x) writes x when encoding and
+// overwrites it when decoding — so each checkpointed type spells out its
+// layout exactly once, in a single function that serves both directions.
+// Restore-only wiring (re-registering connections, resolving references,
+// re-deriving RNG streams) lives in `if c.Loading()` blocks inside those
+// layout functions, or in a short separate function where that reads
+// better.
 //
-// Errors are sticky: after the first failure every Read returns zero values
-// and Err reports the original cause, so codec code reads whole sections
-// without per-field error plumbing and checks once at the end.
+// The format favours debuggability over size: fixed-width little-endian
+// integers, length-prefixed byte strings, and section tags that make a
+// decoder desynchronized from its encoder fail fast with the section names
+// of both sides, instead of decoding garbage.
+//
+// Decoding errors are sticky: after the first failure every field decodes
+// to its zero value and Err reports the original cause, so layout functions
+// run whole sections without per-field error plumbing and check once at the
+// end. Collection counts go through Len, which refuses any count larger
+// than the bytes left, so a corrupt count can neither allocate nor loop
+// beyond the snapshot's own size.
 package snap
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 	"time"
 )
 
-// Writer serializes primitive fields to an io.Writer. Errors are sticky;
-// check Err (or Flush) once after writing.
-type Writer struct {
-	w   io.Writer
-	buf [8]byte
-	err error
+// Codec encodes or decodes one snapshot; see the package comment.
+type Codec struct {
+	buf  []byte // encoding: the output so far; decoding: the unread input
+	load bool
+	err  error
 }
 
-// NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+// NewEncoder returns a Codec that appends fields to an internal buffer;
+// Encoded returns the result.
+func NewEncoder() *Codec { return &Codec{} }
 
-// Err returns the first write error, or nil.
-func (w *Writer) Err() error { return w.err }
+// NewDecoder returns a Codec that decodes fields from b.
+func NewDecoder(b []byte) *Codec { return &Codec{buf: b, load: true} }
 
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
+// Loading reports whether c decodes.
+func (c *Codec) Loading() bool { return c.load }
+
+// Encoded returns the bytes an encoder has produced so far.
+func (c *Codec) Encoded() []byte { return c.buf }
+
+// Left returns the number of input bytes a decoder has not consumed yet.
+func (c *Codec) Left() int { return len(c.buf) }
+
+// Err returns the first recorded error, or nil.
+func (c *Codec) Err() error { return c.err }
+
+// Fail records err (if none is recorded yet); a decoder then yields zero
+// values for every further field.
+func (c *Codec) Fail(err error) {
+	if c.err == nil && err != nil {
+		c.err = err
+	}
+}
+
+// take consumes the next n input bytes, failing the codec when fewer are
+// left.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > len(c.buf) {
+		c.err = fmt.Errorf("snap: short read: need %d byte(s), %d left", n, len(c.buf))
+		return nil
+	}
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b
+}
+
+// fixed runs one little-endian integer of width bytes (1, 4 or 8): an
+// encoder appends v and returns it, a decoder returns the decoded value.
+func (c *Codec) fixed(width int, v uint64) uint64 {
+	if !c.load {
+		switch width {
+		case 1:
+			c.buf = append(c.buf, uint8(v))
+		case 4:
+			c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(v))
+		default:
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+		}
+		return v
+	}
+	b := c.take(width)
+	switch {
+	case b == nil:
+		return 0
+	case width == 1:
+		return uint64(b[0])
+	case width == 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	default:
+		return binary.LittleEndian.Uint64(b)
+	}
+}
+
+// U8Of runs a field as one byte: uint8-based types, and small enums.
+func U8Of[T ~uint8 | ~int](c *Codec, p *T) {
+	if v := T(c.fixed(1, uint64(*p))); c.load {
+		*p = v
+	}
+}
+
+// U32Of runs a field as a fixed-width uint32.
+func U32Of[T ~uint16 | ~uint32](c *Codec, p *T) {
+	if v := T(c.fixed(4, uint64(*p))); c.load {
+		*p = v
+	}
+}
+
+// U64Of runs a field as a fixed-width uint64.
+func U64Of[T ~uint16 | ~uint64](c *Codec, p *T) {
+	if v := T(c.fixed(8, uint64(*p))); c.load {
+		*p = v
+	}
+}
+
+// I64Of runs a signed field as a fixed-width int64.
+func I64Of[T ~int | ~int32 | ~int64](c *Codec, p *T) {
+	if v := T(int64(c.fixed(8, uint64(int64(*p))))); c.load {
+		*p = v
+	}
+}
+
+// StrOf runs a field of any string-based type as a length-prefixed string.
+func StrOf[T ~string](c *Codec, p *T) {
+	if !c.load {
+		c.Len(len(*p))
+		c.buf = append(c.buf, *p...)
 		return
 	}
-	_, w.err = w.w.Write(b)
+	*p = T(c.blob())
 }
 
-// Tag writes a section marker. Readers consume it with Tag and fail loudly
-// on mismatch — the checkpoint format's structural checksum.
-func (w *Writer) Tag(name string) { w.Str(name) }
+// U8 runs one byte.
+func (c *Codec) U8(p *uint8) { U8Of(c, p) }
 
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
+// U32 runs a fixed-width uint32.
+func (c *Codec) U32(p *uint32) { U32Of(c, p) }
 
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+// U64 runs a fixed-width uint64.
+func (c *Codec) U64(p *uint64) { U64Of(c, p) }
+
+// I64 runs a fixed-width int64.
+func (c *Codec) I64(p *int64) { I64Of(c, p) }
+
+// Int runs an int as int64.
+func (c *Codec) Int(p *int) { I64Of(c, p) }
+
+// Dur runs a time.Duration as its int64 nanosecond count.
+func (c *Codec) Dur(p *time.Duration) { I64Of(c, p) }
+
+// Str runs a length-prefixed string.
+func (c *Codec) Str(p *string) { StrOf(c, p) }
+
+// Bool runs a boolean as one byte.
+func (c *Codec) Bool(p *bool) {
+	var b uint8
+	if *p {
+		b = 1
+	}
+	if v := c.fixed(1, uint64(b)); c.load {
+		*p = v != 0
 	}
 }
 
-// U32 writes a fixed-width uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a fixed-width uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes a fixed-width int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 bit pattern — bit-exact round-trip, including NaN
+// F64 runs a float64 bit pattern — bit-exact round-trip, including NaN
 // payloads and signed zeros.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Dur writes a time.Duration as its int64 nanosecond count.
-func (w *Writer) Dur(v time.Duration) { w.I64(int64(v)) }
-
-// Bytes writes a length-prefixed byte string.
-func (w *Writer) Bytes(b []byte) {
-	w.U32(uint32(len(b)))
-	w.write(b)
-}
-
-// Str writes a length-prefixed string.
-func (w *Writer) Str(s string) { w.Bytes([]byte(s)) }
-
-// Reader deserializes fields written by Writer. Errors are sticky: after
-// the first failure every read returns the zero value and Err reports the
-// cause.
-type Reader struct {
-	r   io.Reader
-	buf [8]byte
-	err error
-}
-
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// Err returns the first read error, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Fail records err (if none is recorded yet) and poisons further reads.
-func (r *Reader) Fail(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
+func (c *Codec) F64(p *float64) {
+	if v := c.fixed(8, math.Float64bits(*p)); c.load {
+		*p = math.Float64frombits(v)
 	}
 }
 
-func (r *Reader) read(b []byte) bool {
-	if r.err != nil {
-		return false
+// Bytes runs a length-prefixed byte string. A decoded string is a fresh,
+// non-nil copy even when empty.
+func (c *Codec) Bytes(p *[]byte) {
+	if !c.load {
+		c.Len(len(*p))
+		c.buf = append(c.buf, *p...)
+		return
 	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = fmt.Errorf("snap: short read: %w", err)
-		return false
-	}
-	return true
-}
-
-// Tag consumes a section marker and fails the reader when it does not
-// match name.
-func (r *Reader) Tag(name string) {
-	got := r.Str()
-	if r.err == nil && got != name {
-		r.err = fmt.Errorf("snap: section %q, want %q (snapshot and reader disagree on layout)", got, name)
+	if b := c.blob(); c.err == nil {
+		*p = append([]byte{}, b...)
+	} else {
+		*p = nil
 	}
 }
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.read(r.buf[:1]) {
-		return 0
-	}
-	return r.buf[0]
-}
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U32 reads a fixed-width uint32.
-func (r *Reader) U32() uint32 {
-	if !r.read(r.buf[:4]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// U64 reads a fixed-width uint64.
-func (r *Reader) U64() uint64 {
-	if !r.read(r.buf[:8]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// I64 reads a fixed-width int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads a float64 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Dur reads a time.Duration.
-func (r *Reader) Dur() time.Duration { return time.Duration(r.I64()) }
 
 // maxBytes bounds one length-prefixed field; a corrupt length fails the
 // read instead of attempting a multi-gigabyte allocation.
 const maxBytes = 1 << 30
 
-// Bytes reads a length-prefixed byte string.
-func (r *Reader) Bytes() []byte {
-	n := r.U32()
-	if r.err != nil {
-		return nil
-	}
+// blob decodes a length-prefixed byte string without copying it.
+func (c *Codec) blob() []byte {
+	n := c.Len(0)
 	if n > maxBytes {
-		r.err = fmt.Errorf("snap: field length %d exceeds limit", n)
-		return nil
+		c.Fail(fmt.Errorf("snap: field length %d exceeds limit", n))
 	}
-	b := make([]byte, n)
-	if n > 0 && !r.read(b) {
-		return nil
-	}
-	return b
+	return c.take(n)
 }
 
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string { return string(r.Bytes()) }
+// Tag runs a section marker. A decoder fails when the marker it reads is
+// not name — the checkpoint format's structural checksum.
+func (c *Codec) Tag(name string) {
+	got := name
+	c.Str(&got)
+	if c.err == nil && got != name {
+		c.err = fmt.Errorf("snap: section %q, want %q (snapshot and reader disagree on layout)", got, name)
+	}
+}
+
+// Len runs a collection count as a uint32 and returns it: n when encoding,
+// the decoded count when decoding. Every element of every collection
+// encodes to at least one byte, so a decoder fails (and returns 0) when the
+// count exceeds the bytes left.
+func (c *Codec) Len(n int) int {
+	v := uint32(n)
+	c.U32(&v)
+	if c.load && int(v) > len(c.buf) {
+		c.Fail(fmt.Errorf("snap: count %d exceeds the %d byte(s) left", v, len(c.buf)))
+		return 0
+	}
+	return int(v)
+}
+
+// Slice runs a counted slice, elem running each element. A decoder
+// truncates *s (keeping its backing array) and appends zero-valued elements
+// for elem to fill.
+func Slice[S ~[]T, T any](c *Codec, s *S, elem func(*Codec, *T)) {
+	n := c.Len(len(*s))
+	if !c.load {
+		for i := range *s {
+			elem(c, &(*s)[i])
+		}
+		return
+	}
+	*s = (*s)[:0]
+	var zero T
+	for i := 0; i < n && c.err == nil; i++ {
+		*s = append(*s, zero)
+		elem(c, &(*s)[i])
+	}
+}
+
+// SortedKeys returns m's keys in ascending order: the deterministic walk
+// order for every map a snapshot carries.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// SortedMap runs a counted map as (key, value) records in ascending key
+// order. val may be nil for a map used as a set: only keys are encoded, and
+// decoded entries hold V's zero value. A decoder clears *m and inserts into
+// it, allocating the map only when the count is non-zero.
+func SortedMap[K cmp.Ordered, V any](c *Codec, m *map[K]V, key func(*Codec, *K), val func(*Codec, *V)) {
+	// One (k, v) scratch pair serves every entry: the callbacks take
+	// pointers, so per-entry variables would each escape to the heap.
+	var k K
+	var v V
+	if !c.load {
+		c.Len(len(*m))
+		for _, k = range SortedKeys(*m) {
+			v = (*m)[k]
+			key(c, &k)
+			if val != nil {
+				val(c, &v)
+			}
+		}
+		return
+	}
+	n := c.Len(0)
+	clear(*m)
+	if n > 0 && *m == nil {
+		*m = make(map[K]V)
+	}
+	var zk K
+	var zv V
+	for i := 0; i < n && c.err == nil; i++ {
+		k, v = zk, zv
+		key(c, &k)
+		if val != nil {
+			val(c, &v)
+		}
+		(*m)[k] = v
+	}
+}
+
+// Make returns the *T that *p holds when encoding; when decoding it stores
+// a fresh *T into *p first. p is a pointer field (I = *T) or an interface
+// the decoded value implements, so tagged unions decode as
+// snap.Make[Variant](c, &field).
+func Make[T any, I any](c *Codec, p *I) *T {
+	if c.load {
+		v := new(T)
+		*p = any(v).(I)
+		return v
+	}
+	return any(*p).(*T)
+}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"realtracer/internal/snap"
 )
@@ -14,168 +13,78 @@ import (
 // contents serialize in sorted key order so the bytes of a given
 // accumulator state are deterministic.
 
-// Persist writes the accumulator's state.
-func (w *Welford) Persist(sw *snap.Writer) {
-	sw.Tag("welford")
-	sw.U64(w.n)
-	sw.F64(w.mean)
-	sw.F64(w.m2)
-	sw.F64(w.min)
-	sw.F64(w.max)
+// Snap runs the accumulator's state through c.
+func (w *Welford) Snap(c *snap.Codec) {
+	c.Tag("welford")
+	c.U64(&w.n)
+	c.F64(&w.mean)
+	c.F64(&w.m2)
+	c.F64(&w.min)
+	c.F64(&w.max)
 }
 
-// Restore overwrites the accumulator with persisted state.
-func (w *Welford) Restore(sr *snap.Reader) {
-	sr.Tag("welford")
-	w.n = sr.U64()
-	w.mean = sr.F64()
-	w.m2 = sr.F64()
-	w.min = sr.F64()
-	w.max = sr.F64()
+// snapBins runs one sign's bin map.
+func snapBins(c *snap.Codec, m *map[int]uint64) {
+	snap.SortedMap(c, m, snap.I64Of[int], (*snap.Codec).U64)
 }
 
-// persistBins writes one sign's bin map in sorted key order.
-func persistBins(sw *snap.Writer, m map[int]uint64) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Snap runs the sketch's state through c: construction parameters plus
+// either the raw exact-path sample (in insertion order) or the bin maps.
+// Decoding replaces the whole sketch.
+func (s *Sketch) Snap(c *snap.Codec) {
+	c.Tag("sketch")
+	c.F64(&s.alpha)
+	c.Int(&s.exactCap)
+	if c.Loading() {
+		*s = *NewSketchAccuracy(s.alpha, s.exactCap)
 	}
-	sort.Ints(keys)
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.I64(int64(k))
-		sw.U64(m[k])
-	}
-}
-
-func restoreBins(sr *snap.Reader) map[int]uint64 {
-	n := sr.U32()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[int]uint64, n)
-	for i := uint32(0); i < n; i++ {
-		k := int(sr.I64())
-		m[k] = sr.U64()
-	}
-	return m
-}
-
-// Persist writes the sketch's state: construction parameters plus either
-// the raw exact-path sample (in insertion order) or the bin maps.
-func (s *Sketch) Persist(sw *snap.Writer) {
-	sw.Tag("sketch")
-	sw.F64(s.alpha)
-	sw.Int(s.exactCap)
-	sw.Bool(s.binned)
+	c.Bool(&s.binned)
 	if s.binned {
-		persistBins(sw, s.pos)
-		persistBins(sw, s.neg)
-		sw.U64(s.zero)
+		snapBins(c, &s.pos)
+		snapBins(c, &s.neg)
+		c.U64(&s.zero)
 	} else {
-		sw.U32(uint32(len(s.exact)))
-		for _, v := range s.exact {
-			sw.F64(v)
+		snap.Slice(c, &s.exact, (*snap.Codec).F64)
+	}
+	c.U64(&s.n)
+	c.F64(&s.min)
+	c.F64(&s.max)
+	if c.Loading() && c.Err() == nil && !s.binned && len(s.exact) != int(s.n) {
+		c.Fail(fmt.Errorf("stats: sketch exact path holds %d values for n=%d", len(s.exact), s.n))
+	}
+}
+
+// Snap runs the distribution's paired accumulators through c.
+func (d *Dist) Snap(c *snap.Codec) {
+	c.Tag("dist")
+	d.W.Snap(c)
+	if d.S == nil {
+		d.S = &Sketch{}
+	}
+	d.S.Snap(c)
+}
+
+// Snap runs the grouped distributions through c in sorted key order.
+// Decoding replaces the whole group set.
+func (g *Grouped) Snap(c *snap.Codec) {
+	c.Tag("grouped")
+	if c.Loading() {
+		g.m = nil
+	}
+	snap.SortedMap(c, &g.m, (*snap.Codec).Str, func(c *snap.Codec, d **Dist) {
+		if *d == nil {
+			*d = &Dist{}
 		}
-	}
-	sw.U64(s.n)
-	sw.F64(s.min)
-	sw.F64(s.max)
+		(*d).Snap(c)
+	})
 }
 
-// RestoreSketch reads a sketch persisted with Persist.
-func RestoreSketch(sr *snap.Reader) *Sketch {
-	sr.Tag("sketch")
-	alpha := sr.F64()
-	exactCap := sr.Int()
-	s := NewSketchAccuracy(alpha, exactCap)
-	s.binned = sr.Bool()
-	if s.binned {
-		s.pos = restoreBins(sr)
-		s.neg = restoreBins(sr)
-		s.zero = sr.U64()
-	} else {
-		n := sr.U32()
-		if n > 0 {
-			s.exact = make([]float64, n)
-			for i := range s.exact {
-				s.exact[i] = sr.F64()
-			}
-		}
+// Snap runs the tally through c in sorted key order. Decoding replaces the
+// whole tally.
+func (t *Counter) Snap(c *snap.Codec) {
+	c.Tag("counter")
+	if c.Loading() {
+		t.m = nil
 	}
-	s.n = sr.U64()
-	s.min = sr.F64()
-	s.max = sr.F64()
-	if sr.Err() == nil && !s.binned && len(s.exact) != int(s.n) {
-		sr.Fail(fmt.Errorf("stats: sketch exact path holds %d values for n=%d", len(s.exact), s.n))
-	}
-	return s
-}
-
-// Persist writes the distribution's paired accumulators.
-func (d *Dist) Persist(sw *snap.Writer) {
-	sw.Tag("dist")
-	d.W.Persist(sw)
-	d.S.Persist(sw)
-}
-
-// RestoreDist reads a distribution persisted with Persist.
-func RestoreDist(sr *snap.Reader) *Dist {
-	sr.Tag("dist")
-	d := &Dist{}
-	d.W.Restore(sr)
-	d.S = RestoreSketch(sr)
-	return d
-}
-
-// Persist writes the grouped distributions in sorted key order.
-func (g *Grouped) Persist(sw *snap.Writer) {
-	sw.Tag("grouped")
-	keys := g.Keys()
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.Str(k)
-		g.m[k].Persist(sw)
-	}
-}
-
-// Restore overwrites the group set with persisted state.
-func (g *Grouped) Restore(sr *snap.Reader) {
-	sr.Tag("grouped")
-	n := sr.U32()
-	g.m = nil
-	if n == 0 {
-		return
-	}
-	g.m = make(map[string]*Dist, n)
-	for i := uint32(0); i < n; i++ {
-		k := sr.Str()
-		g.m[k] = RestoreDist(sr)
-	}
-}
-
-// Persist writes the tally in sorted key order.
-func (c *Counter) Persist(sw *snap.Writer) {
-	sw.Tag("counter")
-	keys := c.Keys()
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.Str(k)
-		sw.Int(c.m[k])
-	}
-}
-
-// Restore overwrites the tally with persisted state.
-func (c *Counter) Restore(sr *snap.Reader) {
-	sr.Tag("counter")
-	n := sr.U32()
-	c.m = nil
-	if n == 0 {
-		return
-	}
-	c.m = make(map[string]int, n)
-	for i := uint32(0); i < n; i++ {
-		k := sr.Str()
-		c.m[k] = sr.Int()
-	}
+	snap.SortedMap(c, &t.m, (*snap.Codec).Str, (*snap.Codec).Int)
 }

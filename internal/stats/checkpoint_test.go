@@ -1,12 +1,13 @@
 package stats
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"realtracer/internal/snap"
 )
@@ -15,15 +16,15 @@ import (
 // codec error.
 func roundTripSketch(t *testing.T, s *Sketch) *Sketch {
 	t.Helper()
-	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	s.Persist(sw)
-	if err := sw.Err(); err != nil {
+	enc := snap.NewEncoder()
+	s.Snap(enc)
+	if err := enc.Err(); err != nil {
 		t.Fatalf("persist: %v", err)
 	}
-	sr := snap.NewReader(&buf)
-	got := RestoreSketch(sr)
-	if err := sr.Err(); err != nil {
+	dec := snap.NewDecoder(enc.Encoded())
+	got := &Sketch{}
+	got.Snap(dec)
+	if err := dec.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	return got
@@ -65,16 +66,15 @@ func TestWelfordRoundTripProperty(t *testing.T) {
 		for _, v := range vals[:cut] {
 			prefix.Add(v)
 		}
-		var buf bytes.Buffer
-		sw := snap.NewWriter(&buf)
-		prefix.Persist(sw)
-		if err := sw.Err(); err != nil {
+		enc := snap.NewEncoder()
+		prefix.Snap(enc)
+		if err := enc.Err(); err != nil {
 			t.Fatalf("persist: %v", err)
 		}
 		var resumed Welford
-		sr := snap.NewReader(&buf)
-		resumed.Restore(sr)
-		if err := sr.Err(); err != nil {
+		dec := snap.NewDecoder(enc.Encoded())
+		resumed.Snap(dec)
+		if err := dec.Err(); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
 		for _, v := range vals[cut:] {
@@ -166,19 +166,18 @@ func TestCounterGroupedRoundTrip(t *testing.T) {
 			}
 		}
 
-		var buf bytes.Buffer
-		sw := snap.NewWriter(&buf)
-		c.Persist(sw)
-		g.Persist(sw)
-		if err := sw.Err(); err != nil {
+		enc := snap.NewEncoder()
+		c.Snap(enc)
+		g.Snap(enc)
+		if err := enc.Err(); err != nil {
 			t.Fatalf("persist: %v", err)
 		}
 		var c2 Counter
 		var g2 Grouped
-		sr := snap.NewReader(&buf)
-		c2.Restore(sr)
-		g2.Restore(sr)
-		if err := sr.Err(); err != nil {
+		dec := snap.NewDecoder(enc.Encoded())
+		c2.Snap(dec)
+		g2.Snap(dec)
+		if err := dec.Err(); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
 		if !reflect.DeepEqual(c, c2) {
@@ -204,15 +203,40 @@ func TestSketchRestoreRejectsInconsistentExactCount(t *testing.T) {
 	s := NewSketch()
 	s.Add(1)
 	s.Add(2)
-	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	s.Persist(sw)
-	raw := buf.Bytes()
+	enc := snap.NewEncoder()
+	s.Snap(enc)
+	raw := enc.Encoded()
 	// n is the third-from-last U64 triplet (n, min, max); bump it.
 	raw[len(raw)-24]++
-	sr := snap.NewReader(bytes.NewReader(raw))
-	RestoreSketch(sr)
-	if sr.Err() == nil {
+	dec := snap.NewDecoder(raw)
+	(&Sketch{}).Snap(dec)
+	if dec.Err() == nil {
 		t.Fatal("restore accepted inconsistent exact-path count")
+	}
+}
+
+// TestSketchRestoreRejectsHugeCount guards the exact-path decode against a
+// corrupt sample count: the decoder must fail promptly instead of
+// allocating what the count claims.
+func TestSketchRestoreRejectsHugeCount(t *testing.T) {
+	s := NewSketch()
+	s.Add(1)
+	enc := snap.NewEncoder()
+	s.Snap(enc)
+	raw := enc.Encoded()
+	// The count follows the tag, alpha, exactCap and the binned flag.
+	off := 4 + len("sketch") + 8 + 8 + 1
+	if got := binary.LittleEndian.Uint32(raw[off:]); got != 1 {
+		t.Fatalf("exact count at offset %d reads %d, want 1 (layout moved)", off, got)
+	}
+	binary.LittleEndian.PutUint32(raw[off:], 0xFFFFFFFF)
+	start := time.Now()
+	dec := snap.NewDecoder(raw)
+	(&Sketch{}).Snap(dec)
+	if dec.Err() == nil {
+		t.Fatal("restore accepted a sample count larger than the snapshot")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("restore took %v to reject the count", d)
 	}
 }

@@ -26,6 +26,8 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"realtracer/internal/snap"
 )
 
 // DefaultSketchAlpha is the relative accuracy of the binned sketch path:
@@ -542,14 +544,7 @@ func (g *Grouped) Get(key string) *Dist {
 
 // Keys returns the group labels in sorted order, so iteration over a merged
 // aggregate is deterministic.
-func (g *Grouped) Keys() []string {
-	keys := make([]string, 0, len(g.m))
-	for k := range g.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (g *Grouped) Keys() []string { return snap.SortedKeys(g.m) }
 
 // Len returns the number of groups.
 func (g *Grouped) Len() int { return len(g.m) }
@@ -590,14 +585,7 @@ func (c *Counter) Add(key string, n int) {
 func (c *Counter) Get(key string) int { return c.m[key] }
 
 // Keys returns the labels in sorted order.
-func (c *Counter) Keys() []string {
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (c *Counter) Keys() []string { return snap.SortedKeys(c.m) }
 
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.m) }

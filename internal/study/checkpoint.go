@@ -135,83 +135,90 @@ func applyRNG(r *detrand.Rand, seed int64, count uint64, forkName, label string)
 	r.Seed(forkSeed(seed, count, forkName, label))
 }
 
-// persistTimer writes an armed simclock.Timer as (armed, at, seq);
-// restoreTimer re-arms it at the same slot so the restored event fires in
-// the exact order the original would have.
-func persistTimer(sw *snap.Writer, t simclock.Timer) {
-	if at, seq, ok := t.When(); ok {
-		sw.Bool(true)
-		sw.Dur(at)
-		sw.U64(seq)
-		return
+// snapRNG runs a stream position as (seed, draw count); decoding positions
+// r through applyRNG.
+func snapRNG(c *snap.Codec, r *detrand.Rand, forkName, label string) {
+	seed, count := r.State()
+	c.I64(&seed)
+	c.U64(&count)
+	if c.Loading() && c.Err() == nil {
+		applyRNG(r, seed, count, forkName, label)
 	}
-	sw.Bool(false)
 }
 
-func restoreTimer(sr *snap.Reader, c *simclock.Clock, h simclock.EventHandler) simclock.Timer {
-	if !sr.Bool() {
-		return simclock.Timer{}
+// snapCount runs the length of a collection the rebuilt world already
+// fixes; decoding fails unless the snapshot holds the same count. It
+// reports whether the codec is still healthy.
+func snapCount(c *snap.Codec, n int, what string) bool {
+	if got := c.Len(n); got != n && c.Err() == nil {
+		c.Fail(fmt.Errorf("study: checkpoint holds %d %s, world built %d", got, what, n))
 	}
-	at := sr.Dur()
-	seq := sr.U64()
-	if sr.Err() != nil {
-		return simclock.Timer{}
-	}
-	return c.Arm(at, seq, h)
+	return c.Err() == nil
 }
 
-// persistOptions writes every Options field. The encoding doubles as the
-// version stamp: the serialized bytes are hashed into the snapshot, so a
-// build whose Options shape changed fails the hash (or leaves trailing
-// bytes) instead of silently rebuilding a different world.
-func persistOptions(sw *snap.Writer, o Options) {
-	sw.Tag("options")
-	sw.I64(o.Seed)
-	sw.Int(o.MaxUsers)
-	sw.Int(o.ClipCap)
-	sw.Dur(o.PlayFor)
-	sw.Bool(o.DisableSureStream)
-	sw.Bool(o.DisableFEC)
-	sw.Dur(o.Preroll)
-	sw.Str(o.Controller)
-	sw.F64(o.CongestionScale)
-	sw.Str(o.Dynamics)
-	sw.F64(o.DynamicsIntensity)
-	sw.I64(o.DynamicsSeed)
-	sw.Str(o.Workload)
-	sw.F64(o.WorkloadIntensity)
-	sw.I64(o.WorkloadSeed)
-	sw.Int(o.Arrivals)
-	sw.Str(o.Selection)
-	sw.Int(o.Shards)
-	sw.Dur(o.StaggerWindow)
-	sw.F64(o.ServerUplinkKbps)
+// snapOptions runs every Options field. The encoding doubles as the version
+// stamp: the serialized bytes are hashed into the snapshot, so a build whose
+// Options shape changed fails the hash (or leaves trailing bytes) instead
+// of silently rebuilding a different world.
+func snapOptions(c *snap.Codec, o *Options) {
+	c.Tag("options")
+	c.I64(&o.Seed)
+	c.Int(&o.MaxUsers)
+	c.Int(&o.ClipCap)
+	c.Dur(&o.PlayFor)
+	c.Bool(&o.DisableSureStream)
+	c.Bool(&o.DisableFEC)
+	c.Dur(&o.Preroll)
+	c.Str(&o.Controller)
+	c.F64(&o.CongestionScale)
+	c.Str(&o.Dynamics)
+	c.F64(&o.DynamicsIntensity)
+	c.I64(&o.DynamicsSeed)
+	c.Str(&o.Workload)
+	c.F64(&o.WorkloadIntensity)
+	c.I64(&o.WorkloadSeed)
+	c.Int(&o.Arrivals)
+	c.Str(&o.Selection)
+	c.Int(&o.Shards)
+	c.Dur(&o.StaggerWindow)
+	c.F64(&o.ServerUplinkKbps)
 }
 
-func restoreOptions(sr *snap.Reader) Options {
-	sr.Tag("options")
-	return Options{
-		Seed:              sr.I64(),
-		MaxUsers:          sr.Int(),
-		ClipCap:           sr.Int(),
-		PlayFor:           sr.Dur(),
-		DisableSureStream: sr.Bool(),
-		DisableFEC:        sr.Bool(),
-		Preroll:           sr.Dur(),
-		Controller:        sr.Str(),
-		CongestionScale:   sr.F64(),
-		Dynamics:          sr.Str(),
-		DynamicsIntensity: sr.F64(),
-		DynamicsSeed:      sr.I64(),
-		Workload:          sr.Str(),
-		WorkloadIntensity: sr.F64(),
-		WorkloadSeed:      sr.I64(),
-		Arrivals:          sr.Int(),
-		Selection:         sr.Str(),
-		Shards:            sr.Int(),
-		StaggerWindow:     sr.Dur(),
-		ServerUplinkKbps:  sr.F64(),
+// snapHeader runs the snapshot header: the magic, then the options block
+// with its hash. Decoding verifies all three and fills *opt.
+func snapHeader(c *snap.Codec, opt *Options) error {
+	magic := snapMagic
+	c.Str(&magic)
+	if c.Err() != nil {
+		return fmt.Errorf("study: not a checkpoint: %w", c.Err())
 	}
+	if magic != snapMagic {
+		return fmt.Errorf("study: checkpoint magic %q, want %q (snapshot from an incompatible build)", magic, snapMagic)
+	}
+	var block []byte
+	if !c.Loading() {
+		oc := snap.NewEncoder()
+		snapOptions(oc, opt)
+		block = oc.Encoded()
+	}
+	hash := hashBytes(block)
+	c.Bytes(&block)
+	c.U64(&hash)
+	if !c.Loading() || c.Err() != nil {
+		return c.Err()
+	}
+	if h := hashBytes(block); h != hash {
+		return fmt.Errorf("study: checkpoint options hash mismatch (got %x, want %x): snapshot corrupted or from an incompatible build", h, hash)
+	}
+	oc := snap.NewDecoder(block)
+	snapOptions(oc, opt)
+	if err := oc.Err(); err != nil {
+		return fmt.Errorf("study: checkpoint options: %w", err)
+	}
+	if n := oc.Left(); n > 0 {
+		return fmt.Errorf("study: checkpoint options carry %d trailing byte(s) starting %#x: snapshot from an incompatible build", n, block[len(block)-n])
+	}
+	return nil
 }
 
 func hashBytes(b []byte) uint64 {
@@ -260,132 +267,194 @@ func (w *World) Checkpoint(out io.Writer) error {
 		return err
 	}
 
-	sw := snap.NewWriter(out)
-	sw.Str(snapMagic)
-	var optBuf bytes.Buffer
-	persistOptions(snap.NewWriter(&optBuf), w.Options)
-	sw.Bytes(optBuf.Bytes())
-	sw.U64(hashBytes(optBuf.Bytes()))
-
-	sw.Tag("clock")
-	sw.Dur(w.Clock.Now())
-	sw.U64(w.Clock.Seq())
-	sw.U64(w.Clock.Fired())
-
-	if err := w.Net.Checkpoint(sw); err != nil {
+	c := snap.NewEncoder()
+	if err := snapHeader(c, &w.Options); err != nil {
 		return err
 	}
+	w.snapState(c, &resumeCtx{})
+	if err := c.Err(); err != nil {
+		return err
+	}
+	_, err := out.Write(c.Encoded())
+	return err
+}
+
+// resumeCtx is the decode-only context of a world's layout; encoding
+// passes the zero value.
+type resumeCtx struct {
+	forkName     string // "" for an exact resume
+	keepDynamics bool   // false when the fork changed the dynamics schedule
+	tbl          *transport.ConnTable
+}
+
+// snapState runs the world's dynamic state: the clock scalars, the network
+// core, the servers, the panel or open-loop population, the collected
+// records and, last, the in-flight packets.
+func (w *World) snapState(c *snap.Codec, rc *resumeCtx) {
+	c.Tag("clock")
+	now, seq, fired := w.Clock.Now(), w.Clock.Seq(), w.Clock.Fired()
+	c.Dur(&now)
+	c.U64(&seq)
+	c.U64(&fired)
+	if c.Loading() {
+		if c.Err() != nil {
+			return
+		}
+		// Reset wipes every build-time event (panel start timers, the
+		// first arrival); each owner below re-arms its own events at their
+		// original slots.
+		w.Clock.Reset(now, seq, fired)
+	}
+	w.Net.Snap(c, rc.keepDynamics)
 
 	app := session.SnapCodec()
-	sw.Tag("servers")
-	sw.U32(uint32(len(w.Servers)))
-	for i, srv := range w.Servers {
-		seed, count := w.serverRNGs[i].State()
-		sw.I64(seed)
-		sw.U64(count)
-		w.serverStacks[i].Persist(sw)
-		if err := srv.Checkpoint(sw, app); err != nil {
-			return err
+	c.Tag("servers")
+	if snapCount(c, len(w.Servers), "servers") {
+		for i, srv := range w.Servers {
+			snapRNG(c, w.serverRNGs[i], rc.forkName, "server:"+w.ActiveSites[i].Host)
+			w.serverStacks[i].Snap(c)
+			srv.Snap(c, w.serverStacks[i], app, rc.tbl)
 		}
 	}
 
-	if w.open != nil {
-		sw.Bool(true)
-		if err := w.persistOpenLoop(sw, app); err != nil {
-			return err
+	openLoop := w.open != nil
+	c.Bool(&openLoop)
+	switch {
+	case c.Err() != nil:
+	case openLoop && w.open == nil:
+		c.Fail(fmt.Errorf("study: open-loop checkpoint but the rebuilt world is a panel"))
+	case !openLoop && w.open != nil:
+		c.Fail(fmt.Errorf("study: panel checkpoint but the rebuilt world is open-loop"))
+	case openLoop:
+		w.snapOpenLoop(c, app, rc)
+	default:
+		w.snapPanel(c, app, rc)
+	}
+
+	c.Tag("records")
+	var recs []byte
+	if !c.Loading() {
+		var buf bytes.Buffer
+		c.Fail(trace.WriteJSON(&buf, w.collector.Records()))
+		recs = buf.Bytes()
+	}
+	c.Bytes(&recs)
+	if c.Loading() && c.Err() == nil {
+		got, err := trace.ReadJSON(bytes.NewReader(recs))
+		if err != nil {
+			c.Fail(fmt.Errorf("study: checkpoint records: %w", err))
 		}
-	} else {
-		sw.Bool(false)
-		if err := w.persistPanel(sw, app); err != nil {
-			return err
+		for _, rec := range got {
+			w.collector.Observe(rec)
 		}
 	}
 
-	sw.Tag("records")
-	var recBuf bytes.Buffer
-	if err := trace.WriteJSON(&recBuf, w.collector.Records()); err != nil {
-		return err
-	}
-	sw.Bytes(recBuf.Bytes())
-
-	// Packets go last: their payloads may reference TCP conns serialized
-	// above, and the restore resolves those references against the conns
-	// it has already rebuilt.
-	if err := w.Net.CheckpointPackets(sw, transport.PayloadCodec(app, nil)); err != nil {
-		return err
-	}
-	sw.Tag("endsnap")
-	return sw.Err()
+	// Packets go last: their payloads may reference TCP conns run above,
+	// and decoding resolves those references against the conns it has
+	// already rebuilt.
+	w.Net.SnapPackets(c, transport.PayloadCodec(app, rc.tbl))
+	c.Tag("endsnap")
 }
 
-func (w *World) persistPanel(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("panel")
-	sw.Int(w.remaining)
-	sw.U32(uint32(len(w.Users)))
+func (w *World) snapPanel(c *snap.Codec, app transport.AppCodec, rc *resumeCtx) {
+	c.Tag("panel")
+	c.Int(&w.remaining)
+	if !snapCount(c, len(w.Users), "panel users") {
+		return
+	}
 	for i, u := range w.Users {
-		seed, count := w.userRNGs[i].State()
-		sw.I64(seed)
-		sw.U64(count)
+		snapRNG(c, w.userRNGs[i], rc.forkName, "user:"+u.Name)
 		st := w.stacks[u.Name]
 		if st == nil {
-			return fmt.Errorf("study: no tracked stack for panel user %s", u.Name)
+			c.Fail(fmt.Errorf("study: no tracked stack for panel user %s", u.Name))
+			return
 		}
-		st.Persist(sw)
-		persistTimer(sw, w.startTimers[i])
-		if err := w.tracers[i].PersistState(sw, app); err != nil {
-			return err
-		}
+		st.Snap(c)
+		w.Clock.SnapTimer(c, &w.startTimers[i], w.tracers[i])
+		w.tracers[i].Snap(c, st, app, rc.tbl)
 	}
-	return sw.Err()
 }
 
-func (w *World) persistOpenLoop(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("openloop")
-	c := w.open.cells[0] // the classic open loop is a single cell
-	sw.Int(c.arrivalsLeft)
-	sw.Int(c.active)
-	sw.Int(c.sessions)
-	sw.Int(c.balked)
-	sw.Int(c.departed)
-	sw.Int(c.cursor)
-	seed, count := c.rng.State()
-	sw.I64(seed)
-	sw.U64(count)
+func (w *World) snapOpenLoop(c *snap.Codec, app transport.AppCodec, rc *resumeCtx) {
+	c.Tag("openloop")
+	cell := w.open.cells[0] // the classic open loop is a single cell
+	c.Int(&cell.arrivalsLeft)
+	c.Int(&cell.active)
+	c.Int(&cell.sessions)
+	c.Int(&cell.balked)
+	c.Int(&cell.departed)
+	c.Int(&cell.cursor)
+	snapRNG(c, cell.rng, rc.forkName, "arrivals")
+	sp, _ := cell.policy.(interface {
+		PolicyState() int
+		SetPolicyState(int)
+	})
 	cursor := 0
-	if sp, ok := c.policy.(interface{ PolicyState() int }); ok {
+	if sp != nil {
 		cursor = sp.PolicyState()
 	}
-	sw.Int(cursor)
-	persistTimer(sw, c.arrivalTimer)
-	sw.U32(uint32(len(c.bundles)))
-	for mi, b := range c.bundles {
-		sw.Bool(c.busy[mi])
-		if b == nil {
-			sw.Bool(false)
+	c.Int(&cursor)
+	if sp != nil && c.Loading() {
+		sp.SetPolicyState(cursor)
+	}
+	w.Clock.SnapTimer(c, &cell.arrivalTimer, (*arriveArm)(cell))
+	if !snapCount(c, len(cell.bundles), "templates") {
+		return
+	}
+	for mi, b := range cell.bundles {
+		c.Bool(&cell.busy[mi])
+		built := b != nil
+		c.Bool(&built)
+		if !built {
 			continue
 		}
-		sw.Bool(true)
-		seed, count := b.rng.State()
-		sw.I64(seed)
-		sw.U64(count)
+		var seed int64
+		var count uint64
+		if b != nil {
+			seed, count = b.rng.State()
+		}
+		c.I64(&seed)
+		c.U64(&count)
+		if c.Loading() {
+			if c.Err() != nil {
+				return
+			}
+			b = cell.newBundle(mi, seed)
+			cell.bundles[mi] = b
+			applyRNG(b.rng, seed, count, rc.forkName, "session:"+w.Users[b.idx].Name)
+		}
 		st := w.stacks[w.Users[b.idx].Name]
 		if st == nil {
-			return fmt.Errorf("study: no tracked stack for template %s", w.Users[b.idx].Name)
+			c.Fail(fmt.Errorf("study: no tracked stack for template %s", w.Users[b.idx].Name))
+			return
 		}
-		st.Persist(sw)
-		sw.Bool(b.done)
-		sw.Bool(b.departed)
-		sw.I64(b.ordinal)
-		sw.U32(uint32(len(b.clips)))
-		for _, ci := range b.clips {
-			sw.Int(ci)
+		st.Snap(c)
+		c.Bool(&b.done)
+		c.Bool(&b.departed)
+		c.I64(&b.ordinal)
+		snap.Slice(c, &b.clips, (*snap.Codec).Int)
+		if c.Loading() && !w.restorePlaylist(c, b) {
+			return
 		}
-		persistTimer(sw, b.departTimer)
-		if err := b.tr.PersistState(sw, app); err != nil {
-			return err
-		}
+		w.Clock.SnapTimer(c, &b.departTimer, (*departArm)(b))
+		b.tr.Snap(c, st, app, rc.tbl)
 	}
-	return sw.Err()
+}
+
+// restorePlaylist rebuilds a decoded bundle's playlist from its clip
+// indices and installs it, which clears the tracer's walk state before the
+// tracer's own record repositions the walk.
+func (w *World) restorePlaylist(c *snap.Codec, b *sessionBundle) bool {
+	b.playlist = b.playlist[:0]
+	for _, ci := range b.clips {
+		if ci < 0 || ci >= len(w.Playlist) {
+			c.Fail(fmt.Errorf("study: checkpoint clip index %d out of playlist range", ci))
+			return false
+		}
+		b.playlist = append(b.playlist, w.Playlist[ci])
+	}
+	b.tr.Reset(b.playlist)
+	return c.Err() == nil
 }
 
 // Resume rebuilds a world from a snapshot written by Checkpoint and
@@ -394,34 +463,19 @@ func (w *World) persistOpenLoop(sw *snap.Writer, app transport.AppCodec) error {
 // resume (nil, byte-identical to never stopping) and a named divergent
 // scenario; see Fork.
 func Resume(r io.Reader, fork *Fork) (*World, error) {
-	sr := snap.NewReader(r)
-	if magic := sr.Str(); magic != snapMagic {
-		if sr.Err() != nil {
-			return nil, fmt.Errorf("study: not a checkpoint: %w", sr.Err())
-		}
-		return nil, fmt.Errorf("study: checkpoint magic %q, want %q (snapshot from an incompatible build)", magic, snapMagic)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("study: read checkpoint: %w", err)
 	}
-	optBytes := sr.Bytes()
-	wantHash := sr.U64()
-	if sr.Err() != nil {
-		return nil, sr.Err()
+	c := snap.NewDecoder(data)
+	var opt Options
+	if err := snapHeader(c, &opt); err != nil {
+		return nil, err
 	}
-	if h := hashBytes(optBytes); h != wantHash {
-		return nil, fmt.Errorf("study: checkpoint options hash mismatch (got %x, want %x): snapshot corrupted or from an incompatible build", h, wantHash)
-	}
-	optReader := snap.NewReader(bytes.NewReader(optBytes))
-	opt := restoreOptions(optReader)
-	if err := optReader.Err(); err != nil {
-		return nil, fmt.Errorf("study: checkpoint options: %w", err)
-	}
-	if extra := optReader.U8(); optReader.Err() == nil {
-		return nil, fmt.Errorf("study: checkpoint options carry %d trailing byte(s) starting %#x: snapshot from an incompatible build", len(optBytes), extra)
-	}
-
 	dynChanged := fork.apply(&opt)
-	forkName := ""
+	rc := &resumeCtx{keepDynamics: !dynChanged, tbl: transport.NewConnTable()}
 	if fork != nil {
-		forkName = fork.Name
+		rc.forkName = fork.Name
 	}
 
 	// Deterministic rebuild: NewWorld replays exactly the build-time draws
@@ -435,177 +489,16 @@ func Resume(r io.Reader, fork *Fork) (*World, error) {
 	if w.fab != nil {
 		return nil, fmt.Errorf("study: sharded worlds cannot be restored")
 	}
-
-	sr.Tag("clock")
-	now := sr.Dur()
-	seq := sr.U64()
-	fired := sr.U64()
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	// Reset wipes every build-time event (panel start timers, the first
-	// arrival); each owner below re-arms its own events at their original
-	// slots.
-	w.Clock.Reset(now, seq, fired)
-
-	if err := w.Net.Restore(sr, !dynChanged); err != nil {
+	w.snapState(c, rc)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if forkName != "" {
+	if rc.forkName != "" {
 		dseed := opt.DynamicsSeed
 		if dseed == 0 {
 			dseed = opt.Seed + 4
 		}
-		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, forkName, "net"), forkSeed(dseed, 0, forkName, "dynamics"))
+		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, rc.forkName, "net"), forkSeed(dseed, 0, rc.forkName, "dynamics"))
 	}
-
-	app := session.SnapCodec()
-	tbl := transport.NewConnTable()
-
-	sr.Tag("servers")
-	if n := int(sr.U32()); n != len(w.Servers) {
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		return nil, fmt.Errorf("study: checkpoint holds %d servers, world built %d", n, len(w.Servers))
-	}
-	for i, srv := range w.Servers {
-		seed := sr.I64()
-		count := sr.U64()
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		applyRNG(w.serverRNGs[i], seed, count, forkName, "server:"+w.ActiveSites[i].Host)
-		w.serverStacks[i].RestoreState(sr)
-		if err := srv.Restore(sr, w.serverStacks[i], app, tbl); err != nil {
-			return nil, err
-		}
-	}
-
-	if sr.Bool() {
-		if w.open == nil {
-			return nil, fmt.Errorf("study: open-loop checkpoint but the rebuilt world is a panel")
-		}
-		if err := w.restoreOpenLoop(sr, app, tbl, forkName); err != nil {
-			return nil, err
-		}
-	} else {
-		if w.open != nil {
-			return nil, fmt.Errorf("study: panel checkpoint but the rebuilt world is open-loop")
-		}
-		if err := w.restorePanel(sr, app, tbl, forkName); err != nil {
-			return nil, err
-		}
-	}
-
-	sr.Tag("records")
-	recs, err := trace.ReadJSON(bytes.NewReader(sr.Bytes()))
-	if err != nil {
-		return nil, fmt.Errorf("study: checkpoint records: %w", err)
-	}
-	for _, rec := range recs {
-		w.collector.Observe(rec)
-	}
-
-	if err := w.Net.RestorePackets(sr, transport.PayloadCodec(app, tbl)); err != nil {
-		return nil, err
-	}
-	sr.Tag("endsnap")
-	return w, sr.Err()
-}
-
-func (w *World) restorePanel(sr *snap.Reader, app transport.AppCodec, tbl *transport.ConnTable, forkName string) error {
-	sr.Tag("panel")
-	w.remaining = sr.Int()
-	if n := int(sr.U32()); n != len(w.Users) {
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		return fmt.Errorf("study: checkpoint holds %d panel users, world built %d", n, len(w.Users))
-	}
-	for i, u := range w.Users {
-		seed := sr.I64()
-		count := sr.U64()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		applyRNG(w.userRNGs[i], seed, count, forkName, "user:"+u.Name)
-		st := w.stacks[u.Name]
-		st.RestoreState(sr)
-		w.startTimers[i] = restoreTimer(sr, w.Clock, w.tracers[i])
-		if err := w.tracers[i].RestoreState(sr, st, app, tbl); err != nil {
-			return err
-		}
-	}
-	return sr.Err()
-}
-
-func (w *World) restoreOpenLoop(sr *snap.Reader, app transport.AppCodec, tbl *transport.ConnTable, forkName string) error {
-	sr.Tag("openloop")
-	c := w.open.cells[0]
-	c.arrivalsLeft = sr.Int()
-	c.active = sr.Int()
-	c.sessions = sr.Int()
-	c.balked = sr.Int()
-	c.departed = sr.Int()
-	c.cursor = sr.Int()
-	seed := sr.I64()
-	count := sr.U64()
-	if sr.Err() != nil {
-		return sr.Err()
-	}
-	applyRNG(c.rng, seed, count, forkName, "arrivals")
-	polCursor := sr.Int()
-	if sp, ok := c.policy.(interface{ SetPolicyState(int) }); ok {
-		sp.SetPolicyState(polCursor)
-	}
-	c.arrivalTimer = restoreTimer(sr, w.Clock, (*arriveArm)(c))
-	if n := int(sr.U32()); n != len(c.bundles) {
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		return fmt.Errorf("study: checkpoint holds %d templates, world built %d", n, len(c.bundles))
-	}
-	for mi := range c.bundles {
-		c.busy[mi] = sr.Bool()
-		if !sr.Bool() {
-			continue
-		}
-		bseed := sr.I64()
-		bcount := sr.U64()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		b := c.newBundle(mi, bseed)
-		c.bundles[mi] = b
-		applyRNG(b.rng, bseed, bcount, forkName, "session:"+w.Users[b.idx].Name)
-		st := w.stacks[w.Users[b.idx].Name]
-		st.RestoreState(sr)
-		b.done = sr.Bool()
-		b.departed = sr.Bool()
-		b.ordinal = sr.I64()
-		nc := int(sr.U32())
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		b.clips = make([]int, nc)
-		for j := range b.clips {
-			b.clips[j] = sr.Int()
-		}
-		b.playlist = b.playlist[:0]
-		for _, ci := range b.clips {
-			if ci < 0 || ci >= len(w.Playlist) {
-				return fmt.Errorf("study: checkpoint clip index %d out of playlist range", ci)
-			}
-			b.playlist = append(b.playlist, w.Playlist[ci])
-		}
-		// Reset installs the playlist (and clears walk state) before the
-		// tracer overlay repositions the walk.
-		b.tr.Reset(b.playlist)
-		b.departTimer = restoreTimer(sr, w.Clock, (*departArm)(b))
-		if err := b.tr.RestoreState(sr, st, app, tbl); err != nil {
-			return err
-		}
-	}
-	return sr.Err()
+	return w, nil
 }

@@ -50,6 +50,30 @@ func resumeAndRun(t *testing.T, snap []byte, fork *Fork) *Result {
 	return res
 }
 
+// requireRecheckpointIdentical is the codec-completeness property: a world
+// resumed from snap and checkpointed again before running must reproduce
+// snap byte for byte. A field the layout drops or reorders breaks it even
+// when the resumed run happens not to depend on that field.
+func requireRecheckpointIdentical(t *testing.T, snap []byte) {
+	t.Helper()
+	w, err := Resume(bytes.NewReader(snap), nil)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	var again bytes.Buffer
+	if err := w.Checkpoint(&again); err != nil {
+		t.Fatalf("re-checkpoint: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), snap) {
+		n := 0
+		for n < len(snap) && n < again.Len() && snap[n] == again.Bytes()[n] {
+			n++
+		}
+		t.Fatalf("re-checkpoint of a resumed world differs from its snapshot at byte %d (%d vs %d bytes)",
+			n, again.Len(), len(snap))
+	}
+}
+
 // checkpointResumeArm is one arm of the determinism fence: checkpoint a
 // run of opt at several mid-run instants, resume each snapshot, and
 // require the completed record stream byte-identical to the
@@ -63,11 +87,12 @@ func checkpointResumeArm(t *testing.T, opt Options) {
 		t.Fatal("straight-through run produced no records")
 	}
 	want := recordsBytes(t, straight.Records)
-	for _, frac := range []float64{0.25, 0.55, 0.85} {
+	for _, frac := range checkpointCuts {
 		frac := frac
 		t.Run(fmt.Sprintf("cut%02.0f", frac*100), func(t *testing.T) {
 			cut := time.Duration(float64(straight.SimDuration) * frac)
 			snap := checkpointAt(t, opt, cut)
+			requireRecheckpointIdentical(t, snap)
 			res := resumeAndRun(t, snap, nil)
 			got := recordsBytes(t, res.Records)
 			if !bytes.Equal(got, want) {
@@ -78,35 +103,42 @@ func checkpointResumeArm(t *testing.T, opt Options) {
 	}
 }
 
-func TestCheckpointResumeByteIdentical(t *testing.T) {
-	t.Run("panel", func(t *testing.T) {
-		checkpointResumeArm(t, Options{Seed: 11, MaxUsers: 6, ClipCap: 2})
-	})
+// checkpointArms are the world shapes the checkpoint fences cover.
+var checkpointArms = []struct {
+	name string
+	opt  Options
+}{
+	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2}},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
-	t.Run("openloop", func(t *testing.T) {
-		checkpointResumeArm(t, Options{
-			Seed: 17, MaxUsers: 8, ClipCap: 2,
-			Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
-			Selection: "roundrobin",
-		})
-	})
-	t.Run("dynamics", func(t *testing.T) {
-		checkpointResumeArm(t, Options{
-			Seed: 5, MaxUsers: 4, ClipCap: 2,
-			Dynamics: "lossburst", DynamicsIntensity: 2,
-		})
-	})
+	{"openloop", Options{
+		Seed: 17, MaxUsers: 8, ClipCap: 2,
+		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
+		Selection: "roundrobin",
+	}},
+	{"dynamics", Options{
+		Seed: 5, MaxUsers: 4, ClipCap: 2,
+		Dynamics: "lossburst", DynamicsIntensity: 2,
+	}},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	t.Run("churnheavy", func(t *testing.T) {
-		checkpointResumeArm(t, Options{
-			Seed: 17, MaxUsers: 6, ClipCap: 2,
-			Workload: "poisson", Arrivals: 64, WorkloadIntensity: 2,
-		})
-	})
+	{"churnheavy", Options{
+		Seed: 17, MaxUsers: 6, ClipCap: 2,
+		Workload: "poisson", Arrivals: 64, WorkloadIntensity: 2,
+	}},
+}
+
+// checkpointCuts are the mid-run instants, as fractions of the
+// straight-through run's simulated duration, at which the fences cut.
+var checkpointCuts = []float64{0.25, 0.55, 0.85}
+
+func TestCheckpointResumeByteIdentical(t *testing.T) {
+	for _, arm := range checkpointArms {
+		arm := arm
+		t.Run(arm.name, func(t *testing.T) { checkpointResumeArm(t, arm.opt) })
+	}
 }
 
 // TestForkDeterministicAndDivergent pins the fork contract: the same named

@@ -1,13 +1,13 @@
 package tracer
 
 import (
-	"realtracer/internal/geo"
+	"fmt"
+
 	"realtracer/internal/player"
 	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Two event kinds belong to the tracer: the not-yet-started session (the
@@ -18,81 +18,59 @@ func init() {
 	simclock.RegisterEventKind("tracer.pause", (*tracerArm)(nil))
 }
 
-// PersistState writes the tracer's session progress. The playlist, user and
-// hooks are template state the world rebuilds deterministically from its
+// Snap runs the tracer's session progress through c. The playlist, user
+// and hooks are template state the world rebuilds deterministically from its
 // Options; only the walk position, the in-flight clip's identity (which
-// SelectServer may have re-homed) and the player engine persist.
-func (t *Tracer) PersistState(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("tracer")
-	sw.Int(t.idx)
-	sw.Int(t.played)
-	sw.Int(t.rated)
-	sw.Bool(t.stopped)
-	sw.Int(t.ai)
-	persistEntry(sw, t.curEntry)
-	sw.Dur(t.curStarted)
-	t.pause.Persist(sw)
-	sw.Bool(t.pl != nil)
-	if t.pl != nil {
-		return t.pl.PersistState(sw, app)
+// SelectServer may have re-homed) and the player engine persist. Decoding
+// overlays a template-built Tracer (fresh from New with the same Config the
+// original had). The arenas restore empty: checkpointed packets and frames
+// are carried by value elsewhere, so arena cells hold no restored state and
+// refill as the session proceeds.
+func (t *Tracer) Snap(c *snap.Codec, stack *transport.Stack, app transport.AppCodec, tbl *transport.ConnTable) {
+	c.Tag("tracer")
+	c.Int(&t.idx)
+	c.Int(&t.played)
+	c.Int(&t.rated)
+	c.Bool(&t.stopped)
+	c.Int(&t.ai)
+	snapEntry(c, &t.curEntry)
+	c.Dur(&t.curStarted)
+	t.pause.Snap(c, t.cfg.Clock, (*tracerArm)(t))
+	hasPlayer := t.pl != nil
+	c.Bool(&hasPlayer)
+	if !hasPlayer {
+		return
 	}
-	return sw.Err()
+	if c.Loading() {
+		if c.Err() != nil {
+			return
+		}
+		if t.ai < 0 || t.ai >= len(t.arenas) {
+			c.Fail(fmt.Errorf("tracer: checkpoint arena index %d out of range", t.ai))
+			return
+		}
+		if t.arenas[t.ai] == nil {
+			t.arenas[t.ai] = &rdt.Arena{}
+		}
+		t.pl = player.New(player.Config{
+			Clock:  t.cfg.Clock,
+			Net:    t.cfg.Net,
+			CPU:    player.PCClasses()[t.cfg.User.PCClass],
+			Rand:   t.cfg.Rand,
+			Arena:  t.arenas[t.ai],
+			OnDone: t.onDone,
+		})
+	}
+	t.pl.Snap(c, stack, app, tbl)
 }
 
-// RestoreState overlays a checkpointed walk onto a template-built Tracer
-// (fresh from New with the same Config the original had). The arenas restore
-// empty: checkpointed packets and frames are carried by value elsewhere, so
-// arena cells hold no restored state and refill as the session proceeds.
-func (t *Tracer) RestoreState(sr *snap.Reader, stack *transport.Stack, app transport.AppCodec, tbl *transport.ConnTable) error {
-	sr.Tag("tracer")
-	t.idx = sr.Int()
-	t.played = sr.Int()
-	t.rated = sr.Int()
-	t.stopped = sr.Bool()
-	t.ai = sr.Int()
-	t.curEntry = restoreEntry(sr)
-	t.curStarted = sr.Dur()
-	t.pause = vclock.RestoreHandle(sr, t.cfg.Clock, (*tracerArm)(t))
-	if !sr.Bool() {
-		return sr.Err()
-	}
-	if t.arenas[t.ai] == nil {
-		t.arenas[t.ai] = &rdt.Arena{}
-	}
-	owner := player.Config{
-		Clock:  t.cfg.Clock,
-		Net:    t.cfg.Net,
-		CPU:    player.PCClasses()[t.cfg.User.PCClass],
-		Rand:   t.cfg.Rand,
-		Arena:  t.arenas[t.ai],
-		OnDone: t.onDone,
-	}
-	t.pl = player.New(owner)
-	return t.pl.RestoreState(sr, owner, stack, app, tbl)
-}
-
-func persistEntry(sw *snap.Writer, e Entry) {
-	sw.Str(e.URL)
-	sw.Str(e.ControlAddr)
-	sw.Str(e.Site.Name)
-	sw.Str(e.Site.Host)
-	sw.Str(e.Site.Country)
-	sw.Int(int(e.Site.Region))
-	sw.F64(e.Site.Unavailability)
-	sw.Int(e.Site.Clips)
-}
-
-func restoreEntry(sr *snap.Reader) Entry {
-	return Entry{
-		URL:         sr.Str(),
-		ControlAddr: sr.Str(),
-		Site: geo.ServerSite{
-			Name:           sr.Str(),
-			Host:           sr.Str(),
-			Country:        sr.Str(),
-			Region:         geo.Region(sr.Int()),
-			Unavailability: sr.F64(),
-			Clips:          sr.Int(),
-		},
-	}
+func snapEntry(c *snap.Codec, e *Entry) {
+	c.Str(&e.URL)
+	c.Str(&e.ControlAddr)
+	c.Str(&e.Site.Name)
+	c.Str(&e.Site.Host)
+	c.Str(&e.Site.Country)
+	snap.I64Of(c, &e.Site.Region)
+	c.F64(&e.Site.Unavailability)
+	c.Int(&e.Site.Clips)
 }

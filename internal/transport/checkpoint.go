@@ -2,8 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"realtracer/internal/netsim"
 	"realtracer/internal/simclock"
@@ -23,8 +21,8 @@ import (
 //     segments (handshakes, closed conns) serialize by value.
 //
 //   - The RTO timer's handler is the conn itself (pooled event discipline),
-//     so each conn persists its timer as (At, seq) and re-arms it with the
-//     original sequence number on restore.
+//     so each conn runs its timer through SnapTimer, which re-arms it with
+//     the original sequence number on restore.
 //
 // Application payloads nested in segments and datagrams are opaque here; the
 // session layer supplies the AppCodec.
@@ -33,17 +31,16 @@ func init() {
 	simclock.RegisterEventKind("transport.tcp-rto", &simTCP{})
 }
 
-// AppCodec serializes the application payloads carried inside transport
-// frames (RTSP messages, RDT packets, data hellos). nil payloads are handled
-// by the transport layer before the codec is consulted.
-type AppCodec struct {
-	Encode func(*snap.Writer, any) error
-	Decode func(*snap.Reader) (any, error)
-}
+// AppCodec runs the application payloads carried inside transport frames
+// (RTSP messages, RDT packets, data hellos) through a codec: encoding
+// writes *payload, decoding stores the decoded payload into it. nil
+// payloads are handled by the transport layer before the codec is
+// consulted.
+type AppCodec func(c *snap.Codec, payload *any)
 
 // ConnTable indexes restored simulated TCP conns by local address so wire
 // segment references can resolve to the owning conn's live segment. One
-// table per world restore; every RestoreConn registers into it.
+// table per world restore; every decoded TCP conn registers into it.
 type ConnTable struct {
 	m map[netsim.Addr]*simTCP
 }
@@ -62,74 +59,73 @@ const (
 
 // PayloadCodec returns the netsim payload codec for this world's in-flight
 // packets: transport frames are handled here, anything else delegates to
-// app. tbl must be the table the world's conns were (or will be) restored
-// into.
+// app. tbl must be the table the world's conns were restored into; encoding
+// ignores it.
 func PayloadCodec(app AppCodec, tbl *ConnTable) netsim.PayloadCodec {
-	return netsim.PayloadCodec{
-		Encode: func(sw *snap.Writer, payload any) error {
-			switch m := payload.(type) {
-			case nil:
-				sw.U8(payNil)
-			case *tcpSeg:
-				// Reference only segments a live conn still owns: an open
-				// sender may mutate its inflight seg while a wire copy is
-				// mid-hop, so the copy must restore as the same object. A
-				// closed conn (torn-down session — possibly absent from the
-				// snapshot entirely) never mutates again; its wire copies
-				// serialize by value.
-				if c := m.conn; c != nil && !c.closed && c.ownsSeg(m) {
-					sw.U8(paySegRef)
-					sw.Str(string(c.laddr))
-					sw.U64(m.seq)
-					return sw.Err()
-				}
-				sw.U8(paySeg)
-				return persistSeg(sw, m, app)
-			case *tcpAck:
-				sw.U8(payAck)
-				sw.U64(m.cumAck)
-				sw.Dur(m.ts)
-				sw.Bool(m.echoOK)
-			default:
-				sw.U8(payApp)
-				return app.Encode(sw, payload)
+	return func(c *snap.Codec, payload *any) {
+		var tag uint8
+		switch m := (*payload).(type) {
+		case nil:
+			tag = payNil
+		case *tcpSeg:
+			// Reference only segments a live conn still owns: an open
+			// sender may mutate its inflight seg while a wire copy is
+			// mid-hop, so the copy must restore as the same object. A
+			// closed conn (torn-down session — possibly absent from the
+			// snapshot entirely) never mutates again; its wire copies
+			// serialize by value.
+			tag = paySeg
+			if conn := m.conn; conn != nil && !conn.closed && conn.ownsSeg(m) {
+				tag = paySegRef
 			}
-			return sw.Err()
-		},
-		Decode: func(sr *snap.Reader) (any, error) {
-			switch tag := sr.U8(); tag {
-			case payNil:
-				return nil, sr.Err()
-			case paySegRef:
-				laddr := netsim.Addr(sr.Str())
-				seq := sr.U64()
-				if sr.Err() != nil {
-					return nil, sr.Err()
-				}
-				c := tbl.m[laddr]
-				if c == nil {
-					return nil, fmt.Errorf("transport: wire segment references unknown conn %s", laddr)
-				}
-				seg := c.findSeg(seq)
-				if seg == nil {
-					return nil, fmt.Errorf("transport: wire segment references conn %s seq %d, which holds no such segment", laddr, seq)
-				}
-				return seg, nil
-			case paySeg:
-				return restoreSeg(sr, nil, app)
-			case payAck:
-				a := &tcpAck{}
-				a.cumAck = sr.U64()
-				a.ts = sr.Dur()
-				a.echoOK = sr.Bool()
-				return a, sr.Err()
-			case payApp:
-				return app.Decode(sr)
-			default:
-				return nil, fmt.Errorf("transport: unknown payload tag %d", tag)
+		case *tcpAck:
+			tag = payAck
+		default:
+			tag = payApp
+		}
+		c.U8(&tag)
+		switch tag {
+		case payNil:
+		case paySegRef:
+			var laddr netsim.Addr
+			var seq uint64
+			if seg, ok := (*payload).(*tcpSeg); ok {
+				laddr, seq = seg.conn.laddr, seg.seq
 			}
-		},
+			snap.StrOf(c, &laddr)
+			c.U64(&seq)
+			if c.Loading() && c.Err() == nil {
+				*payload = tbl.resolve(c, laddr, seq)
+			}
+		case paySeg:
+			snapSeg(c, snap.Make[tcpSeg](c, payload), app)
+		case payAck:
+			a := snap.Make[tcpAck](c, payload)
+			c.U64(&a.cumAck)
+			c.Dur(&a.ts)
+			c.Bool(&a.echoOK)
+		case payApp:
+			app(c, payload)
+		default:
+			c.Fail(fmt.Errorf("transport: unknown payload tag %d", tag))
+		}
 	}
+}
+
+// resolve finds the live segment a wire reference (conn local address, seq)
+// names, failing c when the restored conns hold none.
+func (tbl *ConnTable) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any {
+	conn := tbl.m[laddr]
+	if conn == nil {
+		c.Fail(fmt.Errorf("transport: wire segment references unknown conn %s", laddr))
+		return nil
+	}
+	seg := conn.findSeg(seq)
+	if seg == nil {
+		c.Fail(fmt.Errorf("transport: wire segment references conn %s seq %d, which holds no such segment", laddr, seq))
+		return nil
+	}
+	return seg
 }
 
 // ownsSeg reports whether seg is live sender-side state of c: in the
@@ -162,80 +158,41 @@ func (c *simTCP) findSeg(seq uint64) *tcpSeg {
 	return nil
 }
 
-// persistSeg writes one segment by value.
-func persistSeg(sw *snap.Writer, seg *tcpSeg, app AppCodec) error {
+// snapSeg runs one segment by value. A decoded segment carries no conn
+// back-pointer; owners set it.
+func snapSeg(c *snap.Codec, seg *tcpSeg, app AppCodec) {
 	var flags uint8
-	if seg.syn {
-		flags |= 1
-	}
-	if seg.synAck {
-		flags |= 2
-	}
-	if seg.fin {
-		flags |= 4
-	}
-	if seg.rexmit {
-		flags |= 8
-	}
-	sw.U8(flags)
-	sw.U64(seg.seq)
-	sw.Int(seg.size)
-	sw.Dur(seg.ts)
-	if seg.payload == nil {
-		sw.Bool(false)
-		return sw.Err()
-	}
-	sw.Bool(true)
-	return app.Encode(sw, seg.payload)
-}
-
-// restoreSeg reads one segment written by persistSeg. When c is non-nil the
-// segment is carved from its slab and back-pointed to it; a nil c yields a
-// free-standing segment (an orphaned wire copy).
-func restoreSeg(sr *snap.Reader, c *simTCP, app AppCodec) (*tcpSeg, error) {
-	var seg *tcpSeg
-	if c != nil {
-		seg = c.newSeg()
-		seg.conn = c
-	} else {
-		seg = &tcpSeg{}
-	}
-	flags := sr.U8()
-	seg.syn = flags&1 != 0
-	seg.synAck = flags&2 != 0
-	seg.fin = flags&4 != 0
-	seg.rexmit = flags&8 != 0
-	seg.seq = sr.U64()
-	seg.size = sr.Int()
-	seg.ts = sr.Dur()
-	if sr.Bool() {
-		payload, err := app.Decode(sr)
-		if err != nil {
-			return nil, err
+	for i, f := range [...]*bool{&seg.syn, &seg.synAck, &seg.fin, &seg.rexmit} {
+		if *f {
+			flags |= 1 << i
 		}
-		seg.payload = payload
 	}
-	return seg, sr.Err()
+	c.U8(&flags)
+	if c.Loading() {
+		seg.syn, seg.synAck, seg.fin, seg.rexmit = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+	}
+	c.U64(&seg.seq)
+	c.Int(&seg.size)
+	c.Dur(&seg.ts)
+	hasPayload := seg.payload != nil
+	c.Bool(&hasPayload)
+	if hasPayload {
+		app(c, &seg.payload)
+	}
 }
 
-// Persist writes the stack's own state (the ephemeral port cursor). The ACK
-// free-list is a pure allocation cache and is not persisted.
-func (s *Stack) Persist(sw *snap.Writer) {
-	sw.Tag("stack")
-	sw.Int(s.next)
-}
-
-// RestoreState overlays persisted stack state.
-func (s *Stack) RestoreState(sr *snap.Reader) {
-	sr.Tag("stack")
-	s.next = sr.Int()
+// Snap runs the stack's own state (the ephemeral port cursor) through c.
+// The ACK free-list is a pure allocation cache and is not persisted.
+func (s *Stack) Snap(c *snap.Codec) {
+	c.Tag("stack")
+	c.Int(&s.next)
 }
 
 // RestoreAccepted re-seeds a listener's SYN-dedup map with a restored
 // server-side conn: a duplicate SYN still in flight from before the
 // checkpoint must find the existing conn, exactly as it would have in the
 // straight-through run. port is the listening port the conn was accepted on;
-// c must be a conn produced by RestoreConn.
+// c must be a conn decoded by SnapConn.
 func (s *Stack) RestoreAccepted(port int, c Conn) error {
 	tc, ok := c.(*simTCP)
 	if !ok {
@@ -269,205 +226,124 @@ const (
 	connUDP = 2
 )
 
-// PersistConn writes a simulated conn owned by a session or player. Supported
-// types: *simTCP (TCP control/data conns) and *simUDP (client-side connected
-// UDP). Server-side UDP conn views (UDPPort.ConnFor) carry no state and are
-// rebuilt by their owner instead.
-func PersistConn(sw *snap.Writer, c Conn, app AppCodec) error {
-	switch m := c.(type) {
+// SnapConn runs a simulated conn owned by a session or player through c.
+// Supported types: *simTCP (TCP control/data conns) and *simUDP
+// (client-side connected UDP). Server-side UDP conn views (UDPPort.ConnFor)
+// carry no state and are rebuilt by their owner instead. Decoding builds the
+// conn on s into *conn, re-registering it with the network and (for TCP)
+// into tbl; the owner re-installs its receiver afterwards, exactly as it did
+// when the conn was first created.
+func SnapConn(c *snap.Codec, conn *Conn, s *Stack, app AppCodec, tbl *ConnTable) {
+	var tag uint8
+	switch (*conn).(type) {
 	case *simTCP:
-		sw.U8(connTCP)
-		return m.persist(sw, app)
+		tag = connTCP
 	case *simUDP:
-		sw.U8(connUDP)
-		sw.Str(string(m.laddr))
-		sw.Str(string(m.raddr))
-		sw.Bool(m.closed)
-		return sw.Err()
+		tag = connUDP
 	default:
-		return fmt.Errorf("transport: cannot persist conn type %T", c)
+		if !c.Loading() {
+			c.Fail(fmt.Errorf("transport: cannot persist conn type %T", *conn))
+			return
+		}
 	}
-}
-
-// RestoreConn reads a conn written by PersistConn, re-registering it with
-// the network and (for TCP) into tbl. The owner re-installs its receiver
-// afterwards, exactly as it did when the conn was first created.
-func RestoreConn(sr *snap.Reader, s *Stack, app AppCodec, tbl *ConnTable) (Conn, error) {
-	switch tag := sr.U8(); tag {
+	c.U8(&tag)
+	switch tag {
 	case connTCP:
-		return restoreSimTCP(sr, s, app, tbl)
+		snapSimTCP(c, conn, s, app, tbl)
 	case connUDP:
-		laddr := netsim.Addr(sr.Str())
-		raddr := netsim.Addr(sr.Str())
-		closed := sr.Bool()
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		if closed {
-			// Closed at checkpoint time: already unregistered in the live
-			// run, and the host may be detached (a departed client) — build
-			// the dead shell without touching the network.
-			c := &simUDP{stack: s, laddr: laddr, raddr: raddr, raddrID: s.net.Intern(raddr.Host()), closed: true}
-			c.lport, c.rport = laddr.Port(), raddr.Port()
-			return c, nil
-		}
-		return s.newSimUDP(laddr, raddr), nil
+		snapSimUDP(c, conn, s)
 	default:
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		return nil, fmt.Errorf("transport: unknown conn tag %d", tag)
+		c.Fail(fmt.Errorf("transport: unknown conn tag %d", tag))
 	}
 }
 
-// persist writes the full simTCP state.
-func (c *simTCP) persist(sw *snap.Writer, app AppCodec) error {
-	sw.Tag("tcp")
-	sw.Str(string(c.laddr))
-	sw.Str(string(c.raddr))
-	sw.Bool(c.established)
-	sw.Bool(c.closed)
-
-	sw.U64(c.nextSeq)
-	sw.U64(c.sendBase)
-	sw.F64(c.cwnd)
-	sw.F64(c.ssthresh)
-	sw.Int(c.dupAcks)
-	sw.U64(c.lastAck)
-	sw.Dur(c.srtt)
-	sw.Dur(c.rttvar)
-	sw.Dur(c.rto)
-	if at, seq, ok := c.rtoTimer.When(); ok {
-		sw.Bool(true)
-		sw.Dur(at)
-		sw.U64(seq)
-	} else {
-		sw.Bool(false)
+func snapSimUDP(c *snap.Codec, conn *Conn, s *Stack) {
+	var laddr, raddr netsim.Addr
+	var closed bool
+	if u, ok := (*conn).(*simUDP); ok {
+		laddr, raddr, closed = u.laddr, u.raddr, u.closed
 	}
-	sw.U64(c.rcvNext)
-
-	live := c.queue[c.qhead:]
-	sw.U32(uint32(len(live)))
-	for _, seg := range live {
-		if err := persistSeg(sw, seg, app); err != nil {
-			return err
-		}
+	snap.StrOf(c, &laddr)
+	snap.StrOf(c, &raddr)
+	c.Bool(&closed)
+	if !c.Loading() || c.Err() != nil {
+		return
 	}
-	if err := persistSegMap(sw, c.inflight, app); err != nil {
-		return err
+	if closed {
+		// Closed at checkpoint time: already unregistered in the live run,
+		// and the host may be detached (a departed client) — build the dead
+		// shell without touching the network.
+		u := &simUDP{stack: s, laddr: laddr, raddr: raddr, raddrID: s.net.Intern(raddr.Host()), closed: true}
+		u.lport, u.rport = laddr.Port(), raddr.Port()
+		*conn = u
+		return
 	}
-	if err := persistSegMap(sw, c.reorder, app); err != nil {
-		return err
-	}
-
-	sw.U64(c.retransmits)
-	sw.U64(c.fastRexmits)
-	sw.U64(c.timeouts)
-	sw.U64(c.segsSent)
-	sw.U64(c.segsDelivered)
-	sw.Int(c.consecutiveRTOs)
-	return sw.Err()
+	*conn = s.newSimUDP(laddr, raddr)
 }
 
-// persistSegMap writes a seq-keyed segment map in seq order.
-func persistSegMap(sw *snap.Writer, m map[uint64]*tcpSeg, app AppCodec) error {
-	seqs := make([]uint64, 0, len(m))
-	for seq := range m {
-		seqs = append(seqs, seq)
+// snapSimTCP runs the full simTCP state.
+func snapSimTCP(c *snap.Codec, conn *Conn, s *Stack, app AppCodec, tbl *ConnTable) {
+	c.Tag("tcp")
+	t, _ := (*conn).(*simTCP)
+	var laddr, raddr netsim.Addr
+	var established, closed bool
+	if t != nil {
+		laddr, raddr, established, closed = t.laddr, t.raddr, t.established, t.closed
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	sw.U32(uint32(len(seqs)))
-	for _, seq := range seqs {
-		sw.U64(seq)
-		if err := persistSeg(sw, m[seq], app); err != nil {
-			return err
+	snap.StrOf(c, &laddr)
+	snap.StrOf(c, &raddr)
+	c.Bool(&established)
+	c.Bool(&closed)
+	if c.Loading() {
+		if c.Err() != nil {
+			return
 		}
-	}
-	return sw.Err()
-}
-
-func restoreSegMap(sr *snap.Reader, c *simTCP, app AppCodec) (map[uint64]*tcpSeg, error) {
-	n := int(sr.U32())
-	m := make(map[uint64]*tcpSeg)
-	for i := 0; i < n; i++ {
-		seq := sr.U64()
-		seg, err := restoreSeg(sr, c, app)
-		if err != nil {
-			return nil, err
+		// A conn closed at checkpoint time was already unregistered from
+		// the network — and for a departed open-loop client the host
+		// itself is gone — so only open conns re-register their packet
+		// handler. Closed conns enter the table too: an in-flight packet
+		// snapshotted mid-hop may still reference a just-closed conn's
+		// segment storage.
+		t = newSimTCPConn(s, laddr, raddr)
+		if !closed {
+			s.net.Register(laddr, t.onPacket)
 		}
-		m[seq] = seg
+		t.established, t.closed = established, closed
+		tbl.m[laddr] = t
+		*conn = t
 	}
-	return m, sr.Err()
-}
 
-func restoreSimTCP(sr *snap.Reader, s *Stack, app AppCodec, tbl *ConnTable) (*simTCP, error) {
-	sr.Tag("tcp")
-	laddr := netsim.Addr(sr.Str())
-	raddr := netsim.Addr(sr.Str())
-	established := sr.Bool()
-	closed := sr.Bool()
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	// A conn closed at checkpoint time was already unregistered from the
-	// network — and for a departed open-loop client the host itself is
-	// gone — so only open conns re-register their packet handler.
-	c := newSimTCPConn(s, laddr, raddr)
-	if !closed {
-		s.net.Register(laddr, c.onPacket)
-	}
-	c.established = established
-	c.closed = closed
+	c.U64(&t.nextSeq)
+	c.U64(&t.sendBase)
+	c.F64(&t.cwnd)
+	c.F64(&t.ssthresh)
+	c.Int(&t.dupAcks)
+	c.U64(&t.lastAck)
+	c.Dur(&t.srtt)
+	c.Dur(&t.rttvar)
+	c.Dur(&t.rto)
+	t.stack.clock.SnapTimer(c, &t.rtoTimer, t)
+	c.U64(&t.rcvNext)
 
-	c.nextSeq = sr.U64()
-	c.sendBase = sr.U64()
-	c.cwnd = sr.F64()
-	c.ssthresh = sr.F64()
-	c.dupAcks = sr.Int()
-	c.lastAck = sr.U64()
-	c.srtt = sr.Dur()
-	c.rttvar = sr.Dur()
-	c.rto = sr.Dur()
-	rtoArmed := sr.Bool()
-	var rtoAt time.Duration
-	var rtoSeq uint64
-	if rtoArmed {
-		rtoAt = sr.Dur()
-		rtoSeq = sr.U64()
-	}
-	c.rcvNext = sr.U64()
-
-	nq := int(sr.U32())
-	for i := 0; i < nq; i++ {
-		seg, err := restoreSeg(sr, c, app)
-		if err != nil {
-			return nil, err
+	seg := func(c *snap.Codec, sp **tcpSeg) {
+		if *sp == nil {
+			*sp = t.newSeg()
+			(*sp).conn = t
 		}
-		c.queue = append(c.queue, seg)
+		snapSeg(c, *sp, app)
 	}
-	var err error
-	if c.inflight, err = restoreSegMap(sr, c, app); err != nil {
-		return nil, err
+	live := t.queue[t.qhead:]
+	snap.Slice(c, &live, seg)
+	if c.Loading() {
+		t.queue = live
 	}
-	if c.reorder, err = restoreSegMap(sr, c, app); err != nil {
-		return nil, err
-	}
+	snap.SortedMap(c, &t.inflight, (*snap.Codec).U64, seg)
+	snap.SortedMap(c, &t.reorder, (*snap.Codec).U64, seg)
 
-	c.retransmits = sr.U64()
-	c.fastRexmits = sr.U64()
-	c.timeouts = sr.U64()
-	c.segsSent = sr.U64()
-	c.segsDelivered = sr.U64()
-	c.consecutiveRTOs = sr.Int()
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-
-	if rtoArmed {
-		c.rtoTimer = s.clock.Arm(rtoAt, rtoSeq, c)
-	}
-	// Closed conns enter the table too: an in-flight packet snapshotted
-	// mid-hop may still reference a just-closed conn's segment storage.
-	tbl.m[c.laddr] = c
-	return c, nil
+	c.U64(&t.retransmits)
+	c.U64(&t.fastRexmits)
+	c.U64(&t.timeouts)
+	c.U64(&t.segsSent)
+	c.U64(&t.segsDelivered)
+	c.Int(&t.consecutiveRTOs)
 }

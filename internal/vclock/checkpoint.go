@@ -7,37 +7,18 @@ import (
 	"realtracer/internal/snap"
 )
 
-// Persist writes the handle's pending-event identity as an
-// (armed, At, seq) record. Fired, cancelled, zero and real-clock handles all
-// persist as unarmed — exactly the states in which re-arming on restore
-// would be wrong.
-func (h Handle) Persist(sw *snap.Writer) {
-	if at, seq, ok := h.When(); ok {
-		sw.Bool(true)
-		sw.Dur(at)
-		sw.U64(seq)
-	} else {
-		sw.Bool(false)
+// Snap runs the handle's pending event through c as an (armed, At, seq)
+// record; see simclock.Clock.SnapTimer, which re-arms ev on restore. Only
+// simulated clocks checkpoint: on any other clock the handle encodes as
+// unarmed, and decoding an armed record fails c.
+func (h *Handle) Snap(c *snap.Codec, clk Clock, ev simclock.EventHandler) {
+	if sim, ok := clk.(Sim); ok {
+		sim.C.SnapTimer(c, &h.sim, ev)
+		return
 	}
-}
-
-// RestoreHandle reads a record written by Persist and, when it was armed,
-// re-arms h.Fire on the simulated clock with the original (At, seq) pair.
-// Restoring an armed handle onto a non-simulated clock fails the reader:
-// checkpoints only exist in simulation.
-func RestoreHandle(sr *snap.Reader, c Clock, h simclock.EventHandler) Handle {
-	if !sr.Bool() {
-		return Handle{}
+	armed := false
+	c.Bool(&armed)
+	if armed {
+		c.Fail(fmt.Errorf("vclock: restore of an armed timer onto non-simulated clock %T", clk))
 	}
-	at := sr.Dur()
-	seq := sr.U64()
-	if sr.Err() != nil {
-		return Handle{}
-	}
-	sim, ok := c.(Sim)
-	if !ok {
-		sr.Fail(fmt.Errorf("vclock: restore of an armed timer onto non-simulated clock %T", c))
-		return Handle{}
-	}
-	return Handle{sim: sim.C.Arm(at, seq, h)}
 }
