@@ -37,7 +37,7 @@ var (
 func sharedTrace(b *testing.B) []*trace.Record {
 	b.Helper()
 	studyOnce.Do(func() {
-		res, err := core.RunStudy(core.StudyOptions{Seed: 1})
+		res, err := study.Run(study.Options{Seed: 1})
 		if err != nil {
 			studyErr = err
 			return
@@ -117,7 +117,7 @@ func BenchmarkFig28QualityVsBandwidth(b *testing.B)      { benchFigure(b, "fig28
 // clips each) — the macro cost of the whole apparatus.
 func BenchmarkStudyEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunStudy(core.StudyOptions{Seed: int64(i + 2), MaxUsers: 12, ClipCap: 10}); err != nil {
+		if _, err := study.Run(study.Options{Seed: int64(i + 2), MaxUsers: 12, ClipCap: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkAllFiguresShared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if figs := core.AllFigures(recs); len(figs) != 24 {
+		if figs := core.AllFiguresAgg(figures.Aggregate(recs)); len(figs) != 24 {
 			b.Fatalf("figures=%d", len(figs))
 		}
 	}
@@ -145,7 +145,8 @@ func benchPopulationStream(b *testing.B, users, clips int) {
 	b.ReportAllocs()
 	var records int
 	for i := 0; i < b.N; i++ {
-		agg, _, err := core.RunStudyAggregates(core.StudyOptions{Seed: 1, MaxUsers: users, ClipCap: clips})
+		agg := figures.NewAggregates()
+		_, err := study.RunStream(study.Options{Seed: 1, MaxUsers: users, ClipCap: clips}, agg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func BenchmarkPopulationRetain250(b *testing.B) {
 	b.ReportAllocs()
 	var records int
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunStudy(core.StudyOptions{Seed: 1, MaxUsers: 250, ClipCap: 2})
+		res, err := study.Run(study.Options{Seed: 1, MaxUsers: 250, ClipCap: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +195,7 @@ func BenchmarkWorkloadPoisson1k(b *testing.B) {
 	var records, sessions int
 	for i := 0; i < b.N; i++ {
 		agg := figures.NewAggregates()
-		res, err := core.RunStudyStream(core.StudyOptions{
+		res, err := study.RunStream(study.Options{
 			Seed: 1, MaxUsers: 200, ClipCap: 2,
 			Workload: "poisson", Arrivals: 1000,
 		}, agg)
@@ -221,7 +222,7 @@ func BenchmarkWorkloadChurn2x(b *testing.B) {
 	var records, sessions, departed int
 	for i := 0; i < b.N; i++ {
 		agg := figures.NewAggregates()
-		res, err := core.RunStudyStream(core.StudyOptions{
+		res, err := study.RunStream(study.Options{
 			Seed: 1, MaxUsers: 200, ClipCap: 2,
 			Workload: "poisson", Arrivals: 1000, WorkloadIntensity: 2,
 		}, agg)
@@ -244,19 +245,19 @@ func BenchmarkWorkloadChurn2x(b *testing.B) {
 
 // stabilityScenarios is the 20-replica multi-seed stability campaign: the
 // reduced study at 20 consecutive seeds.
-func stabilityScenarios(n int) []core.Scenario {
-	return campaign.SeedReplicas(core.StudyOptions{MaxUsers: 12, ClipCap: 10}, 2, n)
+func stabilityScenarios(n int) []campaign.Scenario {
+	return campaign.SeedReplicas(study.Options{MaxUsers: 12, ClipCap: 10}, 2, n)
 }
 
 // BenchmarkMultiSeedStability fans a 20-seed stability campaign out across
 // every core and reports the cross-seed spread of the headline frame-rate
 // number — the replication study that would otherwise cost 20 sequential
-// RunStudy calls.
+// study.Run calls.
 func BenchmarkMultiSeedStability(b *testing.B) {
 	scs := stabilityScenarios(20)
-	var sum *core.CampaignSummary
+	var sum *campaign.Summary
 	for i := 0; i < b.N; i++ {
-		sum = core.RunCampaign(scs, core.CampaignConfig{})
+		sum = campaign.Run(scs, campaign.Config{})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func BenchmarkMultiSeedStability(b *testing.B) {
 func benchCampaignWorkers(b *testing.B, workers int) {
 	scs := stabilityScenarios(8)
 	for i := 0; i < b.N; i++ {
-		sum := core.RunCampaign(scs, core.CampaignConfig{Workers: workers})
+		sum := campaign.Run(scs, campaign.Config{Workers: workers})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -301,9 +302,14 @@ func benchCampaignDynamics(b *testing.B, family string) {
 	scs := sw.Scenarios(campaign.ReducedBase(9))
 	var records int
 	for i := 0; i < b.N; i++ {
-		merged, sum := core.RunCampaignAggregates(scs, core.CampaignConfig{BaseSeed: 9})
+		sum := campaign.Run(scs, campaign.Config{BaseSeed: 9,
+			NewSink: func() trace.Sink { return figures.NewAggregates() }})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
+		}
+		merged := figures.NewAggregates()
+		for _, r := range sum.Results {
+			merged.Merge(r.Sink.(*figures.Aggregates))
 		}
 		if len(merged.Robustness()) < 2 {
 			b.Fatal("robustness breakdown missing conditions")
@@ -330,10 +336,10 @@ var (
 
 // warmForkCalibrate measures (once) the virtual horizon of the warm-fork
 // bench base, so the warm-up instant can sit at 60% of it.
-func warmForkCalibrate(b *testing.B, base core.StudyOptions) time.Duration {
+func warmForkCalibrate(b *testing.B, base study.Options) time.Duration {
 	b.Helper()
 	warmForkOnce.Do(func() {
-		res, err := core.RunStudy(base)
+		res, err := study.Run(base)
 		if err != nil {
 			warmForkErr = err
 			return
@@ -410,9 +416,9 @@ func runAblation(b *testing.B, sweepName string, report func(r campaign.Scenario
 		b.Fatalf("unknown sweep %s", sweepName)
 	}
 	scs := sw.Scenarios(campaign.ReducedBase(9))
-	var sum *core.CampaignSummary
+	var sum *campaign.Summary
 	for i := 0; i < b.N; i++ {
-		sum = core.RunCampaign(scs, core.CampaignConfig{})
+		sum = campaign.Run(scs, campaign.Config{})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -571,7 +577,7 @@ func BenchmarkWorkloadSharded(b *testing.B) {
 			var records int
 			for i := 0; i < b.N; i++ {
 				agg := figures.NewAggregates()
-				res, err := core.RunStudyStream(core.StudyOptions{
+				res, err := study.RunStream(study.Options{
 					Seed: 1, MaxUsers: 256, ClipCap: 2,
 					Workload: "poisson", Arrivals: 1000,
 					Shards: shards,

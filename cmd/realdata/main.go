@@ -14,8 +14,7 @@ import (
 	"os"
 	"strings"
 
-	"realtracer/internal/core"
-	"realtracer/internal/stats"
+	"realtracer/internal/figures"
 	"realtracer/internal/trace"
 )
 
@@ -45,29 +44,22 @@ func main() {
 	if len(recs) == 0 {
 		fatalf("no records in %s", *in)
 	}
+	agg := figures.Aggregate(recs)
 	switch {
 	case *figure != "":
-		fig, err := core.RunFigure(*figure, recs)
-		if err != nil {
-			fatalf("%v", err)
+		g, ok := figures.ByID(*figure)
+		if !ok {
+			fatalf("unknown figure %q", *figure)
 		}
-		fig.Render(os.Stdout)
+		g.Agg(agg).Render(os.Stdout)
 	case *summary:
-		printSummary(recs)
+		fmt.Printf("trace %s: %d records from %d users\n", *in, agg.Total(), agg.Users())
+		agg.WriteSummary(os.Stdout)
 	default:
-		core.RenderAll(os.Stdout, recs)
+		for _, g := range figures.All() {
+			g.Agg(agg).Render(os.Stdout)
+		}
 	}
-}
-
-func printSummary(recs []*trace.Record) {
-	played := trace.Played(recs)
-	fps := trace.Values(played, func(r *trace.Record) float64 { return r.MeasuredFPS })
-	jit := trace.Values(played, func(r *trace.Record) float64 { return r.JitterMs })
-	s, _ := stats.Summarize(fps)
-	j, _ := stats.Summarize(jit)
-	fmt.Printf("records=%d played=%d rated=%d\n", len(recs), len(played), len(trace.Rated(recs)))
-	fmt.Printf("frame rate: mean=%.1f median=%.1f\n", s.Mean, s.Median)
-	fmt.Printf("jitter: mean=%.0fms median=%.0fms\n", j.Mean, j.Median)
 }
 
 func fatalf(format string, args ...any) {

@@ -2,10 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"realtracer/internal/core"
 	"realtracer/internal/study"
 )
 
@@ -40,16 +40,13 @@ func checkpointFlagError(set map[string]bool) string {
 				return fmt.Sprintf("-%s would override the snapshot's own options; -resume replays them exactly (fork via the campaign API instead)", dep)
 			}
 		}
-		for _, mode := range []string{"sweep", "stream", "timeline"} {
+		for _, mode := range []string{"sweep", "timeline"} {
 			if set[mode] {
-				return fmt.Sprintf("-resume is incompatible with -%s: a snapshot replays one retained-records study", mode)
+				return fmt.Sprintf("-resume is incompatible with -%s: a snapshot replays one study", mode)
 			}
 		}
 	}
 	if set["checkpoint"] {
-		if set["stream"] {
-			return "-checkpoint needs the retained-records collector (the snapshot carries the prefix's records); drop -stream"
-		}
 		if set["shards"] {
 			return "-checkpoint cannot snapshot a sharded world; drop -shards"
 		}
@@ -63,36 +60,37 @@ func checkpointFlagError(set map[string]bool) string {
 }
 
 // runWithCheckpoint drives one study to the warm-up instant, writes the
-// snapshot to file, then continues the same world to completion.
-func runWithCheckpoint(opts core.StudyOptions, file string, warmup time.Duration) (*core.StudyResult, error) {
+// snapshot to file and reports it on w, then continues the same world to
+// completion.
+func runWithCheckpoint(w io.Writer, opts study.Options, file string, warmup time.Duration) (*study.Result, error) {
 	if warmup <= 0 {
 		return nil, fmt.Errorf("-warmup must be positive simulated time, got %v", warmup)
 	}
-	w, err := study.NewWorld(opts)
+	world, err := study.NewWorld(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.RunUntil(warmup); err != nil {
+	if err := world.RunUntil(warmup); err != nil {
 		return nil, err
 	}
 	f, err := os.Create(file)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Checkpoint(f); err != nil {
+	if err := world.Checkpoint(f); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("checkpoint at %v: %w", warmup, err)
 	}
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	fmt.Printf("checkpoint: warm state at %v written to %s (resume with -resume %s)\n", warmup, file, file)
-	return w.Run()
+	fmt.Fprintf(w, "checkpoint: warm state at %v written to %s (resume with -resume %s)\n", warmup, file, file)
+	return world.Run()
 }
 
 // runResumed replays a snapshot file to completion under the options it
 // was checkpointed with.
-func runResumed(file string) (*core.StudyResult, error) {
+func runResumed(file string) (*study.Result, error) {
 	f, err := os.Open(file)
 	if err != nil {
 		return nil, err

@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"realtracer/internal/core"
+	"realtracer/internal/study"
 	"realtracer/internal/trace"
 )
 
@@ -38,8 +39,6 @@ func TestCheckpointFlagValidation(t *testing.T) {
 		{"resume with workload", setOf("resume", "workload"), "snapshot's own options"},
 		{"resume with shards", setOf("resume", "shards"), "snapshot's own options"},
 		{"resume with sweep", setOf("resume", "sweep"), "-sweep"},
-		{"resume with stream", setOf("resume", "stream"), "-stream"},
-		{"checkpoint with stream", setOf("checkpoint", "warmup", "stream"), "-stream"},
 		{"checkpoint with shards", setOf("checkpoint", "warmup", "shards", "workload"), "sharded"},
 		{"checkpoint with sweep", setOf("checkpoint", "warmup", "sweep"), "-sweep"},
 	}
@@ -64,12 +63,12 @@ func TestCheckpointFlagValidation(t *testing.T) {
 // straight-through run, and resuming the written file reproduces them
 // byte-for-byte.
 func TestCheckpointResumeRoundTrip(t *testing.T) {
-	opts := core.StudyOptions{Seed: 11, MaxUsers: 4, ClipCap: 2}
-	straight, err := core.RunStudy(opts)
+	opts := study.Options{Seed: 11, MaxUsers: 4, ClipCap: 2}
+	straight, err := study.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonBytes := func(res *core.StudyResult) []byte {
+	jsonBytes := func(res *study.Result) []byte {
 		var buf bytes.Buffer
 		if err := trace.WriteJSON(&buf, res.Records); err != nil {
 			t.Fatal(err)
@@ -79,7 +78,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	want := jsonBytes(straight)
 
 	file := filepath.Join(t.TempDir(), "warm.snap")
-	res, err := runWithCheckpoint(opts, file, straight.SimDuration/2)
+	res, err := runWithCheckpoint(io.Discard, opts, file, straight.SimDuration/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	if _, err := runResumed(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
 		t.Error("resuming a missing file did not error")
 	}
-	if _, err := runWithCheckpoint(opts, file, 0); err == nil {
+	if _, err := runWithCheckpoint(io.Discard, opts, file, 0); err == nil {
 		t.Error("non-positive -warmup did not error")
 	}
 }

@@ -3,20 +3,26 @@
 //
 // Usage:
 //
-//	study [-seed N] [-users N] [-clips N] [-stream] [-out trace.csv]
+//	study [-seed N] [-users N] [-clips N] [-out trace.csv]
 //	      [-json trace.json] [-figure figNN | -figures] [-sites] [-timeline]
 //	      [-sweep NAME|list] [-parallel N] [-dynamics NAME|list] [-intensity K]
 //	      [-workload NAME|list] [-load K] [-arrivals N] [-selection NAME|list]
 //	      [-shards N] [-checkpoint FILE -warmup DUR] [-resume FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
-// With no figure flags it prints the campaign's headline numbers. -figure
-// regenerates one figure; -figures all of them; -timeline runs the single-
-// session Figure-1 experiment; -sites prints the server/user geography
-// (the stand-in for the paper's map Figures 3 and 4). -sweep runs a named
-// multi-scenario campaign (seed replicas or an ablation) through the
-// parallel campaign engine; -parallel bounds its worker pool (0 = all
-// cores). `-sweep list` enumerates the registered sweeps.
+// Every run has one record pipeline: records stream, as clips complete,
+// into mergeable figure aggregates, plus a CSV writer with -out and a
+// collector only when -json needs the whole record slice. Memory is bounded
+// by aggregate size, so -users may exceed the paper's 63 (the population
+// scales proportionally). With no figure flags the command prints the
+// headline numbers from the aggregates. -figure regenerates one figure;
+// -figures all of them; -timeline runs the single-session Figure-1
+// experiment; -sites prints the server/user geography (the stand-in for the
+// paper's map Figures 3 and 4). -sweep runs a named multi-scenario campaign
+// (seed replicas or an ablation) through the parallel campaign engine, each
+// scenario into its own aggregates, merged in input order; -parallel bounds
+// its worker pool (0 = all cores). `-sweep list` enumerates the registered
+// sweeps.
 //
 // -dynamics applies a named network-dynamics profile (time-varying weather:
 // outages, flash crowds, loss bursts, diurnal cycles, route flaps) to the
@@ -52,37 +58,32 @@
 // Snapshots are version-stamped with an options hash, so resuming under a
 // mismatched build fails loudly, and world-shaping flags (-seed, -workload,
 // ...) alongside -resume are hard errors: the snapshot's options win. A
-// checkpoint needs the retained-records collector and a classic engine, so
-// -stream and -shards refuse to combine with it. Divergent-scenario forks
-// from one snapshot are the campaign API's job (campaign.RunWarmForks).
+// snapshot carries the records produced so far, so these runs keep the
+// world's own record collector and feed its records through the pipeline
+// when the run ends; a sharded world cannot be checkpointed, so -shards
+// refuses to combine with -checkpoint. Divergent-scenario forks from one
+// snapshot are the campaign API's job (campaign.RunWarmForks).
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, so hot-path work
 // (the zero-allocation discrete-event core) can keep attacking the profile:
 //
-//	study -stream -users 1000 -clips 3 -cpuprofile cpu.out -memprofile mem.out
+//	study -users 1000 -clips 3 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out
-//
-// -stream switches to the population-scale pipeline: records flow straight
-// into mergeable figure aggregates (and, with -out, a streaming CSV writer)
-// as clips complete, so memory is bounded by aggregate size instead of
-// record count. -users may exceed the paper's 63 — the population is
-// scaled proportionally — e.g.:
-//
-//	study -stream -users 1000 -clips 5 -figures
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"realtracer/internal/campaign"
 	"realtracer/internal/core"
 	"realtracer/internal/figures"
 	"realtracer/internal/geo"
-	"realtracer/internal/stats"
 	"realtracer/internal/study"
 	"realtracer/internal/trace"
 	"realtracer/internal/workload"
@@ -92,7 +93,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "study random seed (one seed = one reproducible campaign)")
 	users := flag.Int("users", 0, "number of users (0 = the paper's 63; above 63 scales the population proportionally)")
 	clips := flag.Int("clips", 0, "limit clips per user (0 = each user's own playlist progress)")
-	stream := flag.Bool("stream", false, "stream records into mergeable aggregates instead of retaining them (population-scale mode)")
 	out := flag.String("out", "", "write the trace as CSV to this file")
 	jsonOut := flag.String("json", "", "write the trace as JSON to this file")
 	figure := flag.String("figure", "", "regenerate one figure (fig01..fig28)")
@@ -204,7 +204,7 @@ func main() {
 		if set["seed"] {
 			sweepSeed = *seed
 		}
-		runSweep(*sweep, sweepSeed, *users, *clips, *parallel, *stream)
+		runSweep(*sweep, sweepSeed, *users, *clips, *parallel)
 		return
 	}
 	if *timeline || *figure == "fig01" {
@@ -219,148 +219,130 @@ func main() {
 		return
 	}
 
-	opts := core.StudyOptions{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
-		Dynamics: *dynamics, DynamicsIntensity: *intensity,
-		Workload: *workloadName, WorkloadIntensity: *load,
-		Arrivals: *arrivals, Selection: *selection, Shards: *shards}
-	if *stream {
-		if *jsonOut != "" {
-			fatalf("-json needs the retained-records path; use -out for a streaming CSV")
-		}
-		runStreaming(opts, *out, *figure, *figuresAll)
-		return
+	spec := runSpec{
+		opts: study.Options{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
+			Dynamics: *dynamics, DynamicsIntensity: *intensity,
+			Workload: *workloadName, WorkloadIntensity: *load,
+			Arrivals: *arrivals, Selection: *selection, Shards: *shards},
+		checkpoint: *checkpointFile, warmup: *warmup, resume: *resumeFile,
+		csv: *out, json: *jsonOut, figure: *figure, figures: *figuresAll,
 	}
-	if *users > geo.PopulationSize {
-		fmt.Fprintf(os.Stderr, "note: retaining every record of a %d-user study; -stream bounds memory by aggregate size\n", *users)
-	}
-
-	var res *core.StudyResult
-	var err error
-	switch {
-	case *resumeFile != "":
-		res, err = runResumed(*resumeFile)
-	case *checkpointFile != "":
-		res, err = runWithCheckpoint(opts, *checkpointFile, *warmup)
-	default:
-		res, err = core.RunStudy(opts)
-	}
-	if err != nil {
-		fatalf("study: %v", err)
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("create %s: %v", *out, err)
-		}
-		if err := trace.WriteCSV(f, res.Records); err != nil {
-			fatalf("write csv: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %d records to %s\n", len(res.Records), *out)
-	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatalf("create %s: %v", *jsonOut, err)
-		}
-		if err := trace.WriteJSON(f, res.Records); err != nil {
-			fatalf("write json: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %d records to %s\n", len(res.Records), *jsonOut)
-	}
-
-	switch {
-	case *figure != "":
-		fig, err := core.RunFigure(*figure, res.Records)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fig.Render(os.Stdout)
-	case *figuresAll:
-		core.RenderAll(os.Stdout, res.Records)
-	default:
-		printSummary(res)
+	if err := runStudy(os.Stdout, spec); err != nil {
+		fatalf("%v", err)
 	}
 }
 
-// runStreaming executes one study through the streaming pipeline: records
-// flow into a figure-aggregate build (and optionally a CSV file) as clips
-// complete, and nothing is retained.
-func runStreaming(opts core.StudyOptions, out, figure string, figuresAll bool) {
+// runSpec is one single-study invocation: how the world runs (straight,
+// checkpointed at warmup, or resumed from a snapshot) and what it writes.
+type runSpec struct {
+	opts       study.Options
+	checkpoint string
+	warmup     time.Duration
+	resume     string
+	csv, json  string
+	figure     string
+	figures    bool
+}
+
+// runStudy executes one study through the record pipeline and writes its
+// outputs to w. Records stream into figure aggregates, a CSV writer with
+// -out, and a collector only when -json needs the whole slice. Checkpoint
+// and resume runs keep the world's default collector, because the snapshot
+// carries the records; their records are fed to the same sink after the
+// run. The figures and the summary read the aggregates.
+func runStudy(w io.Writer, s runSpec) error {
 	agg := figures.NewAggregates()
 	sink := trace.MultiSink{agg}
-	var csvSink *trace.CSVSink
 	var csvFile *os.File
-	if out != "" {
-		f, err := os.Create(out)
+	var csvSink *trace.CSVSink
+	if s.csv != "" {
+		f, err := os.Create(s.csv)
 		if err != nil {
-			fatalf("create %s: %v", out, err)
+			return err
 		}
-		csvFile = f
-		csvSink = trace.NewCSVSink(f)
+		defer f.Close()
+		csvFile, csvSink = f, trace.NewCSVSink(f)
 		sink = append(sink, csvSink)
 	}
-	res, err := core.RunStudyStream(opts, sink)
-	if err != nil {
-		fatalf("study: %v", err)
+	var col *trace.Collector
+	if s.json != "" {
+		col = &trace.Collector{}
+		sink = append(sink, col)
 	}
+
+	var res *study.Result
+	var err error
+	switch {
+	case s.resume != "":
+		res, err = runResumed(s.resume)
+	case s.checkpoint != "":
+		res, err = runWithCheckpoint(w, s.opts, s.checkpoint, s.warmup)
+	default:
+		res, err = study.RunStream(s.opts, sink)
+	}
+	if err != nil {
+		return fmt.Errorf("study: %w", err)
+	}
+	for _, r := range res.Records {
+		sink.Observe(r)
+	}
+
 	if csvSink != nil {
 		if err := csvSink.Flush(); err != nil {
-			fatalf("write csv: %v", err)
+			return fmt.Errorf("write csv: %w", err)
 		}
-		csvFile.Close()
-		fmt.Printf("streamed %d records to %s\n", csvSink.Count(), out)
+		if err := csvFile.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d records to %s\n", csvSink.Count(), s.csv)
+	}
+	if col != nil {
+		if err := writeJSON(s.json, col.Records()); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d records to %s\n", len(col.Records()), s.json)
 	}
 	switch {
-	case figure != "":
-		fig, err := core.RunFigureAgg(figure, agg)
-		if err != nil {
-			fatalf("%v", err)
+	case s.figure != "":
+		g, ok := figures.ByID(s.figure)
+		if !ok {
+			return fmt.Errorf("unknown figure %q", s.figure)
 		}
-		fig.Render(os.Stdout)
-	case figuresAll:
-		core.RenderAllAgg(os.Stdout, agg)
+		g.Agg(agg).Render(w)
+	case s.figures:
+		for _, g := range figures.All() {
+			g.Agg(agg).Render(w)
+		}
 	default:
-		printStreamSummary(agg, res)
+		fmt.Fprintf(w, "study complete: %d users, %d clip attempts over %v of virtual time (%d events)\n",
+			len(res.Users), agg.Total(), res.SimDuration.Round(1e9), res.Events)
+		if res.Sessions > 0 {
+			fmt.Fprintf(w, "  open-loop: %d sessions admitted, %d balked, %d departed mid-stream\n",
+				res.Sessions, res.Balked, res.Departed)
+		}
+		agg.WriteSummary(w)
+		fmt.Fprintln(w, "run with -figures (or -figure figNN) for the full evaluation output")
 	}
+	return nil
 }
 
-// printStreamSummary prints the headline numbers straight from the
-// aggregates — the streamed twin of printSummary.
-func printStreamSummary(agg *figures.Aggregates, res *core.StudyResult) {
-	fmt.Printf("study complete (streamed): %d users, %d clip attempts over %v of virtual time (%d events)\n",
-		len(res.Users), agg.Total(), res.SimDuration.Round(1e9), res.Events)
-	printOpenLoopLine(res)
-	fmt.Printf("  played=%d unavailable=%d (%.1f%%) rated=%d\n",
-		agg.Played(), agg.Unavailable(), 100*float64(agg.Unavailable())/float64(agg.Total()), agg.Rated())
-	fmt.Printf("  transport: TCP=%d UDP=%d\n", agg.ProtocolPlayed("TCP"), agg.ProtocolPlayed("UDP"))
-	if cdf, err := agg.FrameRate().CDF(); err == nil {
-		fmt.Printf("  frame rate: mean=%.1f fps, below 3 fps %.0f%%, 15+ fps %.0f%%\n",
-			agg.FrameRate().Mean(), 100*cdf.FractionBelow(3), 100*cdf.FractionAtLeast(15))
+func writeJSON(file string, recs []*trace.Record) error {
+	f, err := os.Create(file)
+	if err != nil {
+		return err
 	}
-	if jcdf, err := agg.Jitter().CDF(); err == nil {
-		fmt.Printf("  jitter: <=50ms %.0f%%, >=300ms %.0f%%\n", 100*jcdf.At(50), 100*jcdf.FractionAtLeast(300))
+	if err := trace.WriteJSON(f, recs); err != nil {
+		f.Close()
+		return fmt.Errorf("write json: %w", err)
 	}
-	printWorkloadRows(agg)
-	fmt.Println("run with -figures (or -figure figNN) for the full evaluation output")
-}
-
-// printOpenLoopLine summarizes the session lifecycle of an open-loop run;
-// closed-loop results print nothing.
-func printOpenLoopLine(res *core.StudyResult) {
-	if res.Sessions == 0 {
-		return
-	}
-	fmt.Printf("  open-loop: %d sessions admitted, %d balked, %d departed mid-stream\n",
-		res.Sessions, res.Balked, res.Departed)
+	return f.Close()
 }
 
 // runSweep executes one registered campaign sweep across the worker pool
-// and prints a per-scenario summary plus the campaign wall-clock. In
-// streaming mode each scenario aggregates in place and the partials merge
-// deterministically in input order.
-func runSweep(name string, seed int64, users, clips, workers int, stream bool) {
+// and prints a per-scenario summary plus the campaign wall-clock. Each
+// scenario streams into its own aggregates, and the partials merge in
+// input order, so the output does not depend on the worker count.
+func runSweep(name string, seed int64, users, clips, workers int) {
 	if name == "list" {
 		fmt.Println("registered sweeps:")
 		for _, sw := range campaign.Sweeps() {
@@ -382,63 +364,29 @@ func runSweep(name string, seed int64, users, clips, workers int, stream bool) {
 	scenarios := sw.Scenarios(base)
 	fmt.Printf("sweep %s: base study %d users x %d clips (seed %d); -users/-clips resize it\n",
 		sw.Name, base.MaxUsers, base.ClipCap, base.Seed)
-	cfg := core.CampaignConfig{Workers: workers, BaseSeed: base.Seed}
-	var merged *figures.Aggregates
-	var sum *core.CampaignSummary
-	if stream {
-		merged, sum = core.RunCampaignAggregates(scenarios, cfg)
-	} else {
-		sum = core.RunCampaign(scenarios, cfg)
-	}
+	sum := campaign.Run(scenarios, campaign.Config{Workers: workers, BaseSeed: base.Seed,
+		NewSink: func() trace.Sink { return figures.NewAggregates() }})
+	merged := figures.NewAggregates()
 	for _, r := range sum.Results {
 		if r.Err != nil {
 			fmt.Printf("  %-16s FAILED: %v\n", r.Scenario.Name, r.Err)
 			continue
 		}
-		if stream {
-			part := r.Sink.(*figures.Aggregates)
-			jcdf, _ := part.Jitter().CDF()
-			printScenarioLine(r, part.Total(), part.Played(), part.FrameRate().Mean(), jcdf)
-		} else {
-			played := trace.Played(r.Result.Records)
-			fps := trace.Values(played, func(rec *trace.Record) float64 { return rec.MeasuredFPS })
-			jit := trace.Values(played, func(rec *trace.Record) float64 { return rec.JitterMs })
-			jcdf, _ := stats.NewCDF(jit)
-			printScenarioLine(r, len(r.Result.Records), len(played), stats.Mean(fps), jcdf)
-		}
+		part := r.Sink.(*figures.Aggregates)
+		merged.Merge(part)
+		jcdf, _ := part.Jitter().CDF()
+		fmt.Printf("  %-16s seed=%-20d attempts=%-4d played=%-4d mean %.1f fps  jitter<=50ms %.0f%%  [%v]\n",
+			r.Scenario.Name, r.Scenario.Options.Seed, part.Total(), part.Played(),
+			part.FrameRate().Mean(), 100*jcdf.At(50), r.Elapsed.Round(1e6))
 	}
-	if merged == nil {
-		// Retained mode: fold the records into aggregates anyway so the
-		// robustness breakdown prints either way.
-		merged = figures.Aggregate(sum.Records())
-	} else {
-		fmt.Printf("  merged: attempts=%d played=%d rated=%d mean %.1f fps across the sweep\n",
-			merged.Total(), merged.Played(), merged.Rated(), merged.FrameRate().Mean())
-	}
+	fmt.Printf("  merged: attempts=%d played=%d rated=%d mean %.1f fps across the sweep\n",
+		merged.Total(), merged.Played(), merged.Rated(), merged.FrameRate().Mean())
 	printRobustness(merged)
-	printWorkloadRows(merged)
+	merged.WriteWorkload(os.Stdout)
 	fmt.Printf("sweep %s: %d scenarios on %d workers in %v\n",
 		sw.Name, len(sum.Results), sum.Workers, sum.Elapsed.Round(1e6))
 	if err := sum.Err(); err != nil {
 		fatalf("%v", err)
-	}
-}
-
-// printWorkloadRows prints the per-selection-policy workload breakdown —
-// startup delay, stalls, and how evenly plays spread across the mirrors —
-// plus the concurrent-session peak. Panel-only aggregates print nothing.
-func printWorkloadRows(agg *figures.Aggregates) {
-	rows := agg.Workload()
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Println("  workload by selection policy (per played clip):")
-	for _, r := range rows {
-		fmt.Printf("    %-12s played=%-4d failed=%-3d startup mean=%.1fs  rebuffers mean=%.2f  servers=%-2d load-balance CV=%.2f\n",
-			r.Policy, r.Played, r.Failed, r.MeanStartupSec, r.MeanRebuffers, r.Servers, r.LoadBalance)
-	}
-	if peak, at := agg.PeakConcurrency(); peak > 0 {
-		fmt.Printf("  concurrency: peak %d clips in flight at minute %d\n", peak, at)
 	}
 }
 
@@ -455,45 +403,6 @@ func printRobustness(agg *figures.Aggregates) {
 		fmt.Printf("    %-16s played=%-4d failed=%-3d rebuffers mean=%.2f p90=%.0f  switches mean=%.2f  %.1f fps\n",
 			r.Condition, r.Played, r.Failed, r.MeanRebuffers, r.P90Rebuffers, r.MeanSwitches, r.MeanFPS)
 	}
-}
-
-// printScenarioLine prints one sweep scenario's summary — the same line
-// whether the stats came from retained records or streamed aggregates.
-func printScenarioLine(r campaign.ScenarioResult, attempts, played int, meanFPS float64, jcdf stats.CDF) {
-	fmt.Printf("  %-16s seed=%-20d attempts=%-4d played=%-4d mean %.1f fps  jitter<=50ms %.0f%%  [%v]\n",
-		r.Scenario.Name, r.Scenario.Options.Seed, attempts, played,
-		meanFPS, 100*jcdf.At(50), r.Elapsed.Round(1e6))
-}
-
-func printSummary(res *core.StudyResult) {
-	played := trace.Played(res.Records)
-	rated := trace.Rated(res.Records)
-	var unavailable int
-	protos := map[string]int{}
-	for _, r := range res.Records {
-		if r.Unavailable {
-			unavailable++
-		}
-	}
-	var fps, jit []float64
-	for _, r := range played {
-		protos[r.Protocol]++
-		fps = append(fps, r.MeasuredFPS)
-		jit = append(jit, r.JitterMs)
-	}
-	sfps, _ := stats.Summarize(fps)
-	cdf, _ := stats.NewCDF(fps)
-	jcdf, _ := stats.NewCDF(jit)
-	fmt.Printf("study complete: %d users, %d clip attempts over %v of virtual time (%d events)\n",
-		len(res.Users), len(res.Records), res.SimDuration.Round(1e9), res.Events)
-	printOpenLoopLine(res)
-	fmt.Printf("  played=%d unavailable=%d (%.1f%%) rated=%d\n",
-		len(played), unavailable, 100*float64(unavailable)/float64(len(res.Records)), len(rated))
-	fmt.Printf("  transport: TCP=%d UDP=%d\n", protos["TCP"], protos["UDP"])
-	fmt.Printf("  frame rate: mean=%.1f fps, below 3 fps %.0f%%, 15+ fps %.0f%%\n",
-		sfps.Mean, 100*cdf.FractionBelow(3), 100*cdf.FractionAtLeast(15))
-	fmt.Printf("  jitter: <=50ms %.0f%%, >=300ms %.0f%%\n", 100*jcdf.At(50), 100*jcdf.FractionAtLeast(300))
-	fmt.Println("run with -figures (or -figure figNN) for the full evaluation output")
 }
 
 func printSites(seed int64) {

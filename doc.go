@@ -113,16 +113,20 @@
 // faster than cold (BenchmarkCampaignWarmFork, BENCH_pr10.json, fenced by
 // TestWarmForkSpeedup).
 //
-// Entry points: internal/core (run the study via RunStudy, stream it into
-// mergeable figure aggregates via RunStudyAggregates, fan multi-scenario
-// sweeps across a worker pool via RunCampaign / RunCampaignAggregates,
-// regenerate figures), internal/campaign (the parallel campaign engine:
-// named scenarios, deterministic per-scenario seeds, sweep registry,
-// per-scenario streaming sinks), cmd/study and cmd/realdata (collection
-// and analysis tools — `study -sweep NAME -parallel N` runs a registered
-// campaign sweep; `study -dynamics NAME` applies a weather profile;
-// `study -stream -users N` runs a population-scale study with memory
-// bounded by aggregate size), cmd/realserver and cmd/realtracer (live
+// Entry points: internal/study (study.Run / study.RunStream run one study
+// into a retained record slice or any trace.Sink; study.NewWorld builds
+// the world for checkpointing), internal/campaign (the parallel campaign
+// engine: named scenarios, deterministic per-scenario seeds, sweep
+// registry, per-scenario streaming sinks merged in input order),
+// internal/figures (figures.Aggregates is the one record sink every
+// figure and headline summary reads; figures.All/ByID regenerate them),
+// internal/core (the single-session experiments, including the Figure-1
+// timeline), cmd/study and cmd/realdata (collection and analysis tools:
+// every `study` run streams its records into figure aggregates, plus a
+// CSV writer with -out, so `study -users N` scales past the paper's 63
+// users with memory bounded by aggregate size; `study -sweep NAME
+// -parallel N` runs a registered campaign sweep; `study -dynamics NAME`
+// applies a weather profile), cmd/realserver and cmd/realtracer (live
 // operation over OS sockets). bench_test.go in this directory holds one
 // benchmark per paper figure plus the design ablations, the
 // population-scale streaming benchmarks, and the dynamics-campaign

@@ -46,8 +46,8 @@ type Config struct {
 	// (ScenarioResult.Result.Records is nil; the sink is returned in
 	// ScenarioResult.Sink). Per-scenario sinks make the fan-out race-free
 	// without locks, and merging the partials in input order afterwards is
-	// deterministic no matter how many workers ran — see
-	// core.RunCampaignAggregates.
+	// deterministic no matter how many workers ran — cmd/study's sweeps
+	// merge per-scenario figures.Aggregates this way.
 	NewSink func() trace.Sink
 }
 
@@ -75,18 +75,6 @@ type Summary struct {
 	Workers int
 	// Elapsed is the whole campaign's wall-clock time.
 	Elapsed time.Duration
-}
-
-// Records flattens the per-scenario trace records in scenario order.
-// Failed scenarios contribute nothing.
-func (s *Summary) Records() []*trace.Record {
-	var out []*trace.Record
-	for _, r := range s.Results {
-		if r.Result != nil {
-			out = append(out, r.Result.Records...)
-		}
-	}
-	return out
 }
 
 // Err returns the first scenario error in input order, or nil.

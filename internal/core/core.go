@@ -1,17 +1,15 @@
-// Package core is the library's front door: it runs the full RealTracer
-// measurement study (the paper's primary contribution is the methodology —
-// instrumented player, wide-area campaign, user-centric analysis), produces
-// every evaluation figure from the resulting trace, and runs the
-// single-session experiments such as the Figure-1 buffering timeline.
+// Package core holds the experiments that sit above the study engine: the
+// single-session runner behind the Figure-1 buffering timeline and the
+// ablations, and the all-figures build from a study's aggregates. Studies
+// and campaigns run through internal/study and internal/campaign directly,
+// and single figures come from internal/figures.
 package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
-	"realtracer/internal/campaign"
 	"realtracer/internal/figures"
 	"realtracer/internal/media"
 	"realtracer/internal/netsim"
@@ -19,83 +17,12 @@ import (
 	"realtracer/internal/server"
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
-	"realtracer/internal/study"
-	"realtracer/internal/trace"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
 )
 
-// StudyOptions parameterizes a campaign; see study.Options for the fields.
-type StudyOptions = study.Options
-
-// StudyResult is a completed campaign.
-type StudyResult = study.Result
-
-// RunStudy executes the full measurement campaign (63 users, 98 clips, 11
-// servers by default) and returns its per-clip records.
-func RunStudy(opt StudyOptions) (*StudyResult, error) { return study.Run(opt) }
-
-// RunStudyStream executes the campaign streaming every record into sink as
-// it is produced, retaining none of them — the population-scale path. Set
-// opt.MaxUsers past 63 to run a proportionally scaled population.
-func RunStudyStream(opt StudyOptions, sink trace.Sink) (*StudyResult, error) {
-	return study.RunStream(opt, sink)
-}
-
-// RunStudyAggregates streams one study straight into a figure-aggregate
-// build and returns it alongside the run metadata: every figure and
-// headline statistic without ever materializing the record set.
-func RunStudyAggregates(opt StudyOptions) (*figures.Aggregates, *StudyResult, error) {
-	agg := figures.NewAggregates()
-	res, err := study.RunStream(opt, agg)
-	return agg, res, err
-}
-
-// Scenario is one named study configuration inside a campaign; see
-// campaign.Scenario.
-type Scenario = campaign.Scenario
-
-// CampaignConfig tunes the campaign worker pool; see campaign.Config.
-type CampaignConfig = campaign.Config
-
-// CampaignSummary is a completed multi-scenario campaign.
-type CampaignSummary = campaign.Summary
-
-// RunCampaign executes a set of named scenarios across a bounded worker
-// pool (cfg.Workers, default NumCPU) and returns the merged per-scenario
-// results in input order. Each scenario runs in its own private simulated
-// world, so records are identical whatever the worker count.
-func RunCampaign(scenarios []Scenario, cfg CampaignConfig) *CampaignSummary {
-	return campaign.Run(scenarios, cfg)
-}
-
-// RunCampaignAggregates executes the campaign in streaming mode: each
-// scenario streams its records into a private figures.Aggregates (no
-// records retained anywhere), and the per-scenario partials are merged in
-// scenario input order — so the merged aggregates are identical no matter
-// how many workers the campaign ran on. The per-scenario partials remain
-// available via the summary's ScenarioResult.Sink fields.
-func RunCampaignAggregates(scenarios []Scenario, cfg CampaignConfig) (*figures.Aggregates, *CampaignSummary) {
-	cfg.NewSink = func() trace.Sink { return figures.NewAggregates() }
-	sum := campaign.Run(scenarios, cfg)
-	merged := figures.NewAggregates()
-	for _, r := range sum.Results {
-		if part, ok := r.Sink.(*figures.Aggregates); ok && r.Err == nil {
-			merged.Merge(part)
-		}
-	}
-	return merged, sum
-}
-
-// AllFigures regenerates every record-driven figure (5-28) from a trace:
-// one aggregate pass over the records, then every generator off the shared
-// aggregates.
-func AllFigures(recs []*trace.Record) []figures.Figure {
-	return AllFiguresAgg(figures.Aggregate(recs))
-}
-
-// AllFiguresAgg regenerates every record-driven figure from a completed
-// aggregate build — the streaming path, where no record slice ever existed.
+// AllFiguresAgg regenerates every record-driven figure (5-28) from a
+// completed aggregate build, in paper order.
 func AllFiguresAgg(agg *figures.Aggregates) []figures.Figure {
 	gens := figures.All()
 	out := make([]figures.Figure, 0, len(gens))
@@ -103,39 +30,6 @@ func AllFiguresAgg(agg *figures.Aggregates) []figures.Figure {
 		out = append(out, g.Agg(agg))
 	}
 	return out
-}
-
-// RunFigure regenerates one figure by id ("fig05" ... "fig28").
-func RunFigure(id string, recs []*trace.Record) (figures.Figure, error) {
-	g, ok := figures.ByID(id)
-	if !ok {
-		return figures.Figure{}, fmt.Errorf("core: unknown figure %q", id)
-	}
-	return g.Build(recs), nil
-}
-
-// RunFigureAgg regenerates one figure by id from a completed aggregate
-// build.
-func RunFigureAgg(id string, agg *figures.Aggregates) (figures.Figure, error) {
-	g, ok := figures.ByID(id)
-	if !ok {
-		return figures.Figure{}, fmt.Errorf("core: unknown figure %q", id)
-	}
-	return g.Agg(agg), nil
-}
-
-// RenderAll writes every figure to w.
-func RenderAll(w io.Writer, recs []*trace.Record) {
-	for _, f := range AllFigures(recs) {
-		f.Render(w)
-	}
-}
-
-// RenderAllAgg writes every figure computed from an aggregate build to w.
-func RenderAllAgg(w io.Writer, agg *figures.Aggregates) {
-	for _, f := range AllFiguresAgg(agg) {
-		f.Render(w)
-	}
 }
 
 // SessionOptions parameterizes a single simulated streaming session between

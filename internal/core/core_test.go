@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
+	"realtracer/internal/study"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
 )
@@ -58,23 +60,19 @@ func TestFig01TimelineShape(t *testing.T) {
 	}
 }
 
-func TestRunFigureUnknownID(t *testing.T) {
-	if _, err := RunFigure("fig99", nil); err == nil {
-		t.Fatal("unknown figure accepted")
-	}
-}
-
 func TestAllFiguresFromReducedStudy(t *testing.T) {
-	res, err := RunStudy(StudyOptions{Seed: 2, MaxUsers: 8, ClipCap: 6})
+	res, err := study.Run(study.Options{Seed: 2, MaxUsers: 8, ClipCap: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs := AllFigures(res.Records)
+	figs := AllFiguresAgg(figures.Aggregate(res.Records))
 	if len(figs) != 24 {
 		t.Fatalf("figures=%d want 24", len(figs))
 	}
 	var buf bytes.Buffer
-	RenderAll(&buf, res.Records)
+	for _, f := range figs {
+		f.Render(&buf)
+	}
 	if buf.Len() < 1000 {
 		t.Fatalf("render suspiciously small: %d bytes", buf.Len())
 	}
@@ -105,7 +103,7 @@ func TestRunSessionAblationsDiffer(t *testing.T) {
 
 func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 	// The CSV written by the study must round-trip for the realdata tool.
-	res, err := RunStudy(StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3})
+	res, err := study.Run(study.Options{Seed: 4, MaxUsers: 4, ClipCap: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,74 +118,7 @@ func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 	if len(got) != len(res.Records) {
 		t.Fatalf("round trip lost records: %d vs %d", len(got), len(res.Records))
 	}
-	if _, err := RunFigure("fig11", got); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunStudyAggregates: the streaming front door produces the same
-// figures as the batch front door, without retaining records.
-func TestRunStudyAggregates(t *testing.T) {
-	opt := StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3}
-	agg, res, err := RunStudyAggregates(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != nil {
-		t.Fatal("streaming study retained records")
-	}
-	if agg.Total() == 0 || agg.Played() == 0 {
-		t.Fatal("aggregates observed nothing")
-	}
-	batch, err := RunStudy(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Total() != len(batch.Records) {
-		t.Fatalf("aggregate total %d vs %d batch records", agg.Total(), len(batch.Records))
-	}
-	var a, b bytes.Buffer
-	RenderAllAgg(&a, agg)
-	RenderAll(&b, batch.Records)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("streamed figures differ from batch figures")
-	}
-	fig, err := RunFigureAgg("fig11", agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "fig11" || len(fig.Series) == 0 {
-		t.Fatal("RunFigureAgg produced an empty figure")
-	}
-	if _, err := RunFigureAgg("fig99", agg); err == nil {
-		t.Fatal("unknown figure id accepted")
-	}
-}
-
-// TestRunCampaignAggregatesWorkerInvariant: the merged campaign aggregates
-// must not depend on the worker pool size.
-func TestRunCampaignAggregatesWorkerInvariant(t *testing.T) {
-	scs := []Scenario{
-		{Name: "a", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-		{Name: "b", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-		{Name: "c", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-		{Name: "d", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-	}
-	agg1, sum1 := RunCampaignAggregates(scs, CampaignConfig{Workers: 1, BaseSeed: 8})
-	if err := sum1.Err(); err != nil {
-		t.Fatal(err)
-	}
-	agg4, sum4 := RunCampaignAggregates(scs, CampaignConfig{Workers: 4, BaseSeed: 8})
-	if err := sum4.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if agg1.Total() == 0 || agg1.Total() != agg4.Total() {
-		t.Fatalf("totals differ: %d vs %d", agg1.Total(), agg4.Total())
-	}
-	var a, b bytes.Buffer
-	RenderAllAgg(&a, agg1)
-	RenderAllAgg(&b, agg4)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("merged aggregates differ across worker counts")
+	if g, _ := figures.ByID("fig11"); len(g.Build(got).Series) == 0 {
+		t.Fatal("fig11 empty after the CSV round trip")
 	}
 }

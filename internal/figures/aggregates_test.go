@@ -2,9 +2,12 @@ package figures
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"realtracer/internal/stats"
 	"realtracer/internal/trace"
 )
 
@@ -147,5 +150,41 @@ func TestAggregatesEmpty(t *testing.T) {
 	a.Merge(b) // merging empties must not panic
 	if a.Total() != 0 {
 		t.Fatal("empty merge produced records")
+	}
+}
+
+// TestWriteSummaryMatchesRecords: every headline number equals the same
+// statistic computed straight from the record slice.
+func TestWriteSummaryMatchesRecords(t *testing.T) {
+	recs := synthetic()
+	played := trace.Played(recs)
+	fps, _ := stats.Summarize(trace.Values(played, func(r *trace.Record) float64 { return r.MeasuredFPS }))
+	jitVals := trace.Values(played, func(r *trace.Record) float64 { return r.JitterMs })
+	jit, _ := stats.Summarize(jitVals)
+	jcdf, _ := stats.NewCDF(jitVals)
+	var unavailable, tcp int
+	for _, r := range recs {
+		if r.Unavailable {
+			unavailable++
+		}
+	}
+	for _, r := range played {
+		if r.Protocol == "TCP" {
+			tcp++
+		}
+	}
+	var buf bytes.Buffer
+	Aggregate(recs).WriteSummary(&buf)
+	got := buf.String()
+	for _, want := range []string{
+		fmt.Sprintf("played=%d unavailable=%d (%.1f%%) rated=%d\n",
+			len(played), unavailable, 100*float64(unavailable)/float64(len(recs)), len(trace.Rated(recs))),
+		fmt.Sprintf("transport: TCP=%d UDP=%d\n", tcp, len(played)-tcp),
+		fmt.Sprintf("frame rate: mean=%.1f median=%.1f fps", fps.Mean, fps.Median),
+		fmt.Sprintf("jitter: mean=%.0f median=%.0f ms, <=50ms %.0f%%", jit.Mean, jit.Median, 100*jcdf.At(50)),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("summary lacks %q:\n%s", want, got)
+		}
 	}
 }

@@ -304,6 +304,45 @@ func (f Figure) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// WriteSummary prints the headline numbers of a study or a trace file:
+// outcome counts, the transport mix, the frame-rate and jitter
+// distributions over played clips and, for open-loop records, the
+// per-policy workload breakdown.
+func (a *Aggregates) WriteSummary(w io.Writer) {
+	fmt.Fprintf(w, "  played=%d unavailable=%d (%.1f%%) rated=%d\n",
+		a.played, a.unavailable, 100*float64(a.unavailable)/float64(a.total), a.rated)
+	fmt.Fprintf(w, "  transport: TCP=%d UDP=%d\n", a.ProtocolPlayed("TCP"), a.ProtocolPlayed("UDP"))
+	if s, err := a.fpsAll.Summary(); err == nil {
+		cdf, _ := a.fpsAll.CDF()
+		fmt.Fprintf(w, "  frame rate: mean=%.1f median=%.1f fps, below 3 fps %.0f%%, 15+ fps %.0f%%\n",
+			s.Mean, s.Median, 100*cdf.FractionBelow(3), 100*cdf.FractionAtLeast(15))
+	}
+	if s, err := a.jitAll.Summary(); err == nil {
+		cdf, _ := a.jitAll.CDF()
+		fmt.Fprintf(w, "  jitter: mean=%.0f median=%.0f ms, <=50ms %.0f%%, >=300ms %.0f%%\n",
+			s.Mean, s.Median, 100*cdf.At(50), 100*cdf.FractionAtLeast(300))
+	}
+	a.WriteWorkload(w)
+}
+
+// WriteWorkload prints the per-selection-policy workload breakdown
+// (startup delay, stalls, and how evenly plays spread across the mirrors)
+// plus the concurrent-clip peak. Panel-only aggregates print nothing.
+func (a *Aggregates) WriteWorkload(w io.Writer) {
+	rows := a.Workload()
+	if len(rows) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "  workload by selection policy (per played clip):")
+	for _, r := range rows {
+		fmt.Fprintf(w, "    %-12s played=%-4d failed=%-3d startup mean=%.1fs  rebuffers mean=%.2f  servers=%-2d load-balance CV=%.2f\n",
+			r.Policy, r.Played, r.Failed, r.MeanStartupSec, r.MeanRebuffers, r.Servers, r.LoadBalance)
+	}
+	if peak, at := a.PeakConcurrency(); peak > 0 {
+		fmt.Fprintf(w, "  concurrency: peak %d clips in flight at minute %d\n", peak, at)
+	}
+}
+
 // quantileIndex returns the first index of ys (a CDF's F values) reaching q.
 func quantileIndex(ys []float64, q float64) int {
 	for i, y := range ys {

@@ -38,6 +38,11 @@ func ephemeralPorts(t *testing.T, n int) []int {
 	return ports
 }
 
+// shutdown adapts the end-of-test teardown to a timer handler.
+type shutdown func()
+
+func (f shutdown) Fire(time.Duration) { f() }
+
 // sessionOutcome is one live session's result, delivered off the loop.
 type sessionOutcome struct {
 	proto transport.Protocol
@@ -100,10 +105,10 @@ func TestLiveSocketsEndToEnd(t *testing.T) {
 				if finish(sessionOutcome{proto: proto, stats: st, err: err}) {
 					// OnDone fires as soon as playout ends; give the final
 					// TEARDOWN a beat to cross the kernel before shutdown.
-					clock.After(500*time.Millisecond, func() {
+					clock.AfterHandler(500*time.Millisecond, shutdown(func() {
 						srv.Stop()
 						loop.Close()
-					})
+					}))
 				}
 			},
 		})

@@ -195,7 +195,8 @@ func NewCDF(xs []float64) (CDF, error) {
 	n := float64(len(sorted))
 	var cdf CDF
 	for i := 0; i < len(sorted); {
-		j := i
+		// j starts past i so a NaN (equal to nothing) still advances.
+		j := i + 1
 		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
@@ -366,6 +367,9 @@ func ScatterBin(xs, ys []float64, nbins int) (centers, meanY []float64) {
 	counts := make([]int, nbins)
 	for i := range xs {
 		b := int((xs[i] - lo) / width)
+		if b < 0 { // NaN when hi-lo overflows to +Inf
+			b = 0
+		}
 		if b >= nbins {
 			b = nbins - 1
 		}

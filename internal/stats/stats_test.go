@@ -71,6 +71,18 @@ func TestCDFBasics(t *testing.T) {
 	}
 }
 
+// TestCDFNaNTerminates: a NaN equals nothing, not even itself; building
+// the CDF must still step past it instead of looping forever.
+func TestCDFNaNTerminates(t *testing.T) {
+	c, err := NewCDF([]float64{math.NaN(), 1, math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.X) != 3 || c.F[2] != 1 {
+		t.Fatalf("CDF over NaNs: %+v", c)
+	}
+}
+
 func TestCDFQuantileInverse(t *testing.T) {
 	c, _ := NewCDF([]float64{10, 20, 30, 40})
 	if c.Quantile(0.5) != 20 {
@@ -211,6 +223,11 @@ func TestScatterBin(t *testing.T) {
 	}
 	if !almost(means[1], 6, 1e-9) {
 		t.Fatalf("high-bin mean=%v want 6", means[1])
+	}
+	// A range too wide for float64 (hi-lo overflows) must not index out of
+	// range.
+	if c, _ := ScatterBin([]float64{-1e308, 1e308}, []float64{1, 2}, 8); len(c) == 0 {
+		t.Fatal("overflowing range produced no bins")
 	}
 }
 

@@ -19,8 +19,7 @@
 // reading); moment accumulators are order-invariant only up to floating-
 // point rounding, and Dist's exact path keeps samples in merge order — so
 // callers that need byte-stable output must merge partials in a fixed
-// order, the way core.RunCampaignAggregates merges in scenario input
-// order.
+// order, the way cmd/study's sweeps merge in scenario input order.
 package stats
 
 import (

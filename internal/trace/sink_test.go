@@ -31,8 +31,8 @@ func TestCollectorPreservesOrder(t *testing.T) {
 }
 
 // TestCSVSinkMatchesWriteCSV: the streaming writer must emit byte-for-byte
-// what the batch WriteCSV emits, so the -stream CLI path stays compatible
-// with cmd/realdata.
+// what the batch WriteCSV emits, so the CSV that cmd/study -out streams
+// stays compatible with cmd/realdata.
 func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 	recs := sampleRecords()
 	var batch bytes.Buffer

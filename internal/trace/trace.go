@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -185,6 +186,9 @@ func fromRow(row []string) (*Record, error) {
 		}
 		var v float64
 		v, err = strconv.ParseFloat(s, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("non-finite value %q", s)
+		}
 		return v
 	}
 	atoi := func(s string) int {
@@ -233,11 +237,17 @@ func WriteJSON(w io.Writer, records []*Record) error {
 	return enc.Encode(records)
 }
 
-// ReadJSON reads a JSON array of records.
+// ReadJSON reads a JSON array of records. A null element is an error: every
+// consumer dereferences each record.
 func ReadJSON(r io.Reader) ([]*Record, error) {
 	var out []*Record
 	if err := json.NewDecoder(r).Decode(&out); err != nil {
 		return nil, err
+	}
+	for i, rec := range out {
+		if rec == nil {
+			return nil, fmt.Errorf("trace: record %d is null", i)
+		}
 	}
 	return out, nil
 }

@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// Sample exposes the test records to the external fuzz package.
+var Sample = sample
+
 func sample() []*Record {
 	return []*Record{
 		{
@@ -116,6 +119,14 @@ func TestReadCSVLegacyColumns(t *testing.T) {
 	}
 }
 
+func TestReadJSONRejectsNullRecord(t *testing.T) {
+	for _, in := range []string{"[null]", `[{"user":"u1"},null]`} {
+		if got, err := ReadJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted as %d records", in, len(got))
+		}
+	}
+}
+
 func TestReadCSVRejectsWrongHeader(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("a,b,c\n1,2,3\n")); err == nil {
 		t.Fatal("wrong column count accepted")
@@ -128,6 +139,17 @@ func TestReadCSVRejectsBadRow(t *testing.T) {
 	corrupted := strings.Replace(buf.String(), "240.5", "not-a-number", 1)
 	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("bad float accepted")
+	}
+}
+
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	var buf bytes.Buffer
+	WriteCSV(&buf, sample()[:1])
+	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+		corrupted := strings.Replace(buf.String(), "240.5", bad, 1)
+		if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
 	}
 }
 

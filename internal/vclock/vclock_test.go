@@ -8,31 +8,46 @@ import (
 	"realtracer/internal/simclock"
 )
 
+// fireFunc adapts a function to simclock.EventHandler for the tests.
+type fireFunc func(now time.Duration)
+
+func (f fireFunc) Fire(now time.Duration) { f(now) }
+
 func TestSimAdapter(t *testing.T) {
 	sc := simclock.New()
 	var c Clock = Sim{C: sc}
-	fired := false
-	timer := c.After(time.Second, func() { fired = true })
+	var firedAt time.Duration
+	h := c.AfterHandler(time.Second, fireFunc(func(now time.Duration) { firedAt = now }))
 	if c.Now() != 0 {
 		t.Fatal("origin not zero")
 	}
-	sc.Run()
-	if !fired {
-		t.Fatal("sim timer never fired")
+	if !h.Armed() {
+		t.Fatal("pending handle reports unarmed")
 	}
-	timer.Cancel() // post-fire cancel is a no-op
+	sc.Run()
+	if firedAt != time.Second {
+		t.Fatalf("sim handler fired at %v, want 1s", firedAt)
+	}
+	if h.Armed() {
+		t.Fatal("fired handle still armed")
+	}
+	h.Cancel() // post-fire cancel is a no-op
 }
 
 func TestSimTimerCancel(t *testing.T) {
 	sc := simclock.New()
 	var c Clock = Sim{C: sc}
 	fired := false
-	timer := c.After(time.Second, func() { fired = true })
-	timer.Cancel()
+	h := c.AfterHandler(time.Second, fireFunc(func(time.Duration) { fired = true }))
+	h.Cancel()
 	sc.Run()
 	if fired {
-		t.Fatal("cancelled timer fired")
+		t.Fatal("cancelled handler fired")
 	}
+	if h.Armed() {
+		t.Fatal("cancelled handle still armed")
+	}
+	Handle{}.Cancel() // the zero Handle is inert
 }
 
 func TestLoopSerializesPosts(t *testing.T) {
@@ -80,18 +95,21 @@ func TestRealTimerFires(t *testing.T) {
 	loop := NewLoop()
 	clock := NewReal(loop)
 	done := make(chan struct{})
-	clock.After(5*time.Millisecond, func() {
-		if clock.Now() < 4*time.Millisecond {
+	h := clock.AfterHandler(5*time.Millisecond, fireFunc(func(now time.Duration) {
+		if now < 4*time.Millisecond {
 			t.Error("fired too early")
 		}
 		loop.Close()
 		close(done)
-	})
+	}))
 	go loop.Run()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("real timer never fired")
+		t.Fatal("real handler never fired")
+	}
+	if h.Armed() {
+		t.Fatal("fired real handle still armed")
 	}
 }
 
@@ -99,14 +117,14 @@ func TestRealTimerCancel(t *testing.T) {
 	loop := NewLoop()
 	clock := NewReal(loop)
 	fired := make(chan struct{}, 1)
-	timer := clock.After(10*time.Millisecond, func() { fired <- struct{}{} })
-	timer.Cancel()
-	timer.Cancel() // idempotent
+	h := clock.AfterHandler(10*time.Millisecond, fireFunc(func(time.Duration) { fired <- struct{}{} }))
+	h.Cancel()
+	h.Cancel() // idempotent
 	go loop.Run()
 	defer loop.Close()
 	select {
 	case <-fired:
-		t.Fatal("cancelled real timer fired")
+		t.Fatal("cancelled real handler fired")
 	case <-time.After(50 * time.Millisecond):
 	}
 }
