@@ -124,106 +124,6 @@ func ByID(id string) (Generator, bool) {
 	return Generator{}, false
 }
 
-// Record-slice entry points for each figure, preserved for callers that
-// analyze an in-memory trace directly.
-
-// Fig05ClipsPerUser: half the users played 40 clips or more.
-func Fig05ClipsPerUser(recs []*trace.Record) Figure { return Aggregate(recs).Fig05ClipsPerUser() }
-
-// Fig06RatedPerUser: half the users rated about 3 clips.
-func Fig06RatedPerUser(recs []*trace.Record) Figure { return Aggregate(recs).Fig06RatedPerUser() }
-
-// Fig07ByUserCountry: the paper's US-dominated country breakdown.
-func Fig07ByUserCountry(recs []*trace.Record) Figure { return Aggregate(recs).Fig07ByUserCountry() }
-
-// Fig08ByServerCountry: US servers served the most clips.
-func Fig08ByServerCountry(recs []*trace.Record) Figure { return Aggregate(recs).Fig08ByServerCountry() }
-
-// Fig09ByUSState: Massachusetts dominates.
-func Fig09ByUSState(recs []*trace.Record) Figure { return Aggregate(recs).Fig09ByUSState() }
-
-// Fig10Unavailable: about 10% of clip requests found the clip unavailable.
-func Fig10Unavailable(recs []*trace.Record) Figure { return Aggregate(recs).Fig10Unavailable() }
-
-// Fig11FrameRateAll: mean ~10 fps; ~25% under 3 fps; ~25% at 15+.
-func Fig11FrameRateAll(recs []*trace.Record) Figure { return Aggregate(recs).Fig11FrameRateAll() }
-
-// Fig12FrameRateByAccess: modems far worse; DSL/Cable roughly matches T1.
-func Fig12FrameRateByAccess(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig12FrameRateByAccess()
-}
-
-// Fig13BandwidthByAccess: DSL/Cable rarely operates near capacity.
-func Fig13BandwidthByAccess(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig13BandwidthByAccess()
-}
-
-// Fig14FrameRateByServerRegion: server regions differ only slightly.
-func Fig14FrameRateByServerRegion(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig14FrameRateByServerRegion()
-}
-
-// Fig15FrameRateByUserRegion: user region clearly differentiates.
-func Fig15FrameRateByUserRegion(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig15FrameRateByUserRegion()
-}
-
-// Fig16ProtocolMix: over half UDP, 44% TCP.
-func Fig16ProtocolMix(recs []*trace.Record) Figure { return Aggregate(recs).Fig16ProtocolMix() }
-
-// Fig17FrameRateByProtocol: distributions nearly identical.
-func Fig17FrameRateByProtocol(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig17FrameRateByProtocol()
-}
-
-// Fig18BandwidthByProtocol: UDP bandwidth comparable to TCP's over a clip.
-func Fig18BandwidthByProtocol(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig18BandwidthByProtocol()
-}
-
-// Fig19FrameRateByPC: only the oldest machines are the bottleneck.
-func Fig19FrameRateByPC(recs []*trace.Record) Figure { return Aggregate(recs).Fig19FrameRateByPC() }
-
-// Fig20JitterAll: >50% play with imperceptible jitter; ~15% exceed 300 ms.
-func Fig20JitterAll(recs []*trace.Record) Figure { return Aggregate(recs).Fig20JitterAll() }
-
-// Fig21JitterByAccess: modems much worse; DSL slightly beats T1.
-func Fig21JitterByAccess(recs []*trace.Record) Figure { return Aggregate(recs).Fig21JitterByAccess() }
-
-// Fig22JitterByServerRegion: Asia worst; others comparable.
-func Fig22JitterByServerRegion(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig22JitterByServerRegion()
-}
-
-// Fig23JitterByUserRegion: Australia/NZ worst again.
-func Fig23JitterByUserRegion(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig23JitterByUserRegion()
-}
-
-// Fig24JitterByProtocol: TCP and UDP nearly identical smoothness.
-func Fig24JitterByProtocol(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig24JitterByProtocol()
-}
-
-// Fig25JitterByBandwidth: strong correlation between bandwidth and jitter.
-func Fig25JitterByBandwidth(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig25JitterByBandwidth()
-}
-
-// Fig26QualityAll: ratings look uniform with mean ~5.
-func Fig26QualityAll(recs []*trace.Record) Figure { return Aggregate(recs).Fig26QualityAll() }
-
-// Fig27QualityByAccess: modem quality about half of DSL; DSL beats T1.
-func Fig27QualityByAccess(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig27QualityByAccess()
-}
-
-// Fig28QualityVsBandwidth: weak correlation; no low ratings at high
-// bandwidth.
-func Fig28QualityVsBandwidth(recs []*trace.Record) Figure {
-	return Aggregate(recs).Fig28QualityVsBandwidth()
-}
-
 // AccessOrder is the paper's access-class ordering.
 var AccessOrder = []string{"56k Modem", "DSL/Cable", "T1/LAN"}
 

@@ -101,7 +101,7 @@ func TestFig10UsesAllAttempts(t *testing.T) {
 		{Server: "A"},
 		{Server: "B"},
 	}
-	f := Fig10Unavailable(recs)
+	f := Aggregate(recs).Fig10Unavailable()
 	s := f.Series[0]
 	if len(s.Labels) != 2 {
 		t.Fatalf("servers=%v", s.Labels)
@@ -118,7 +118,7 @@ func TestFig16Fractions(t *testing.T) {
 	recs := []*trace.Record{
 		{Protocol: "TCP"}, {Protocol: "UDP"}, {Protocol: "UDP"}, {Protocol: "UDP"},
 	}
-	f := Fig16ProtocolMix(recs)
+	f := Aggregate(recs).Fig16ProtocolMix()
 	s := f.Series[0]
 	if s.Y[0] != 0.25 || s.Y[1] != 0.75 {
 		t.Fatalf("mix=%v", s.Y)
@@ -130,7 +130,7 @@ func TestFig05CountsPerUser(t *testing.T) {
 		{User: "a"}, {User: "a"}, {User: "a"},
 		{User: "b"},
 	}
-	f := Fig05ClipsPerUser(recs)
+	f := Aggregate(recs).Fig05ClipsPerUser()
 	s := f.Series[0]
 	// CDF over {3, 1}: values 1 and 3 present.
 	if len(s.X) == 0 {
@@ -150,7 +150,7 @@ func TestFig28FindsCorrelationDirection(t *testing.T) {
 			Rating:       float64(i%3) + float64(i)/10, // upward trend + noise
 		})
 	}
-	f := Fig28QualityVsBandwidth(recs)
+	f := Aggregate(recs).Fig28QualityVsBandwidth()
 	if len(f.Series) != 2 {
 		t.Fatalf("series=%d want scatter + binned", len(f.Series))
 	}
@@ -166,7 +166,7 @@ func TestSplitCDFSkipsEmptyGroups(t *testing.T) {
 		{Access: "56k Modem", MeasuredFPS: 2},
 		{Access: "56k Modem", MeasuredFPS: 4},
 	}
-	f := Fig12FrameRateByAccess(recs)
+	f := Aggregate(recs).Fig12FrameRateByAccess()
 	for _, s := range f.Series {
 		if s.Label != "56k Modem" && len(s.X) > 0 {
 			t.Fatalf("unexpected non-empty series %q", s.Label)

@@ -1,6 +1,7 @@
 package player
 
 import (
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
@@ -111,14 +112,14 @@ func (p *Player) Snap(c *snap.Codec, stack *transport.Stack, app transport.AppCo
 	// haveSeq values are only ever membership-tested after insertion, so the
 	// window persists as its key set and restores with nil values.
 	c.U32(&p.highestSeq)
-	snap.SortedMap(c, &p.haveSeq, (*snap.Codec).U32, nil)
+	seqwin.Snap(c, &p.haveSeq, (*snap.Codec).U32, nil)
 	c.U32(&p.seqFloor)
 	snap.Slice(c, &p.lowSeqs, (*snap.Codec).U32)
 	c.Int(&p.recvSeqCount)
 	c.Int(&p.recovered)
 	c.U32(&p.lastRepHighest)
 	c.Int(&p.lastRepLost)
-	snap.SortedMap(c, &p.nackOutstanding, (*snap.Codec).U32, (*snap.Codec).Int)
+	seqwin.Snap(c, &p.nackOutstanding, (*snap.Codec).U32, (*snap.Codec).Int)
 
 	snap.Slice(c, &p.playTimes, (*snap.Codec).Dur)
 	c.Int(&p.intBytes)

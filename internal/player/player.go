@@ -19,6 +19,7 @@ import (
 
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/session"
 	"realtracer/internal/stats"
 	"realtracer/internal/transport"
@@ -202,11 +203,13 @@ type Player struct {
 
 	// Video-stream loss tracking (UDP).
 	highestSeq uint32
-	haveSeq    map[uint32]*rdt.Data // recent video packets for FEC
-	// seqFloor is the lowest seq possibly still in haveSeq: expiry sweeps
-	// forward from it (amortized O(1) per packet) instead of scanning the
-	// whole window per packet. lowSeqs records the rare re-insertions below
-	// the floor (late retransmissions) so they expire identically.
+	// haveSeq holds the recent video packets for FEC, keyed by seq in a
+	// seqwin ring; gcSeqs trims it from below.
+	haveSeq seqwin.Map[uint32, *rdt.Data]
+	// seqFloor is the highest expiry cut so far, and lowSeqs lists the
+	// rare insertions below it (late retransmissions) since the last
+	// expiry. gcSeqs needs neither, since DeleteBelow finds every expired
+	// key, but both stay because the snapshot format records them.
 	seqFloor     uint32
 	lowSeqs      []uint32
 	recvSeqCount int
@@ -218,7 +221,7 @@ type Player struct {
 
 	// NACK state: outstanding sequence gaps and how many times each has
 	// been requested (up to nackMaxTries, like RDT's bounded NAKs).
-	nackOutstanding map[uint32]int
+	nackOutstanding seqwin.Map[uint32, int]
 	nackTimer       vclock.Handle
 	nackScratch     []uint32 // reused per-flush missing list
 
@@ -275,30 +278,26 @@ func (x *timeUpArm) Fire(time.Duration)    { (*Player)(x).timeUp() }
 
 // New builds a Player; Start launches it.
 func New(cfg Config) *Player {
-	p := &Player{
-		pending:         make(map[int]uint8),
-		haveSeq:         make(map[uint32]*rdt.Data),
-		nackOutstanding: make(map[uint32]int),
-	}
+	p := &Player{pending: make(map[int]uint8)}
 	p.init(cfg)
 	return p
 }
 
 // Reset rewires a finished player for a new session, reusing every piece of
-// grown storage: the maps keep their buckets, the frame heap, partial set,
-// playout record and scratch slices keep their backing arrays, and the
-// Stats record is cleared in place. Stale state cannot leak across the
-// reset: timers are cancelled (and generation checks make any already-
-// recycled handle inert), the epoch bump disarms in-flight dial callbacks,
-// and every other field is rebuilt through the struct literal, so a
-// recycled player can never observe its predecessor's FEC window, NACK
-// ledger or decode-chain state. The caller must not Reset a player whose
+// grown storage: the map and the sequence rings keep their storage, the
+// frame heap, partial set, playout record and scratch slices keep their
+// backing arrays, and the Stats record is cleared in place. Stale state
+// cannot leak across the reset: timers are cancelled (and generation checks
+// make any already-recycled handle inert), the epoch bump disarms in-flight
+// dial callbacks, and every other field is rebuilt through the struct
+// literal, so a recycled player can never observe its predecessor's FEC
+// window, NACK ledger or decode-chain state. The caller must not Reset a player whose
 // session is still live — finish or Abort it first.
 func (p *Player) Reset(cfg Config) {
 	p.cancelTimers()
 	clear(p.pending)
-	clear(p.haveSeq)
-	clear(p.nackOutstanding)
+	p.haveSeq.Clear()
+	p.nackOutstanding.Clear()
 	gaps := p.stats.PlayoutGaps[:0]
 	timeline := p.stats.Timeline[:0]
 	*p = Player{
@@ -653,14 +652,14 @@ func (p *Player) onData(payload any, size int) {
 
 func (p *Player) onDataPacket(d *rdt.Data) {
 	if d.Stream == rdt.StreamVideo {
-		if _, dup := p.haveSeq[d.Seq]; dup {
+		if p.haveSeq.Has(d.Seq) {
 			return // retransmission of something FEC already rebuilt
 		}
 		if d.Seq > p.highestSeq+1 && p.data != nil && p.data.Protocol() == transport.UDP {
 			// Sequence gap: queue NACKs for the missing packets.
 			for seq := p.highestSeq + 1; seq < d.Seq; seq++ {
-				if _, ok := p.nackOutstanding[seq]; !ok {
-					p.nackOutstanding[seq] = 0
+				if !p.nackOutstanding.Has(seq) {
+					p.nackOutstanding.Put(seq, 0)
 				}
 			}
 			p.armNack()
@@ -672,7 +671,7 @@ func (p *Player) onDataPacket(d *rdt.Data) {
 		if d.Seq < p.seqFloor {
 			p.lowSeqs = append(p.lowSeqs, d.Seq)
 		}
-		p.haveSeq[d.Seq] = d
+		p.haveSeq.Put(d.Seq, d)
 		p.gcSeqs()
 	}
 	p.assemble(d)
@@ -698,25 +697,19 @@ func (p *Player) flushNacks() {
 	if p.state == "done" || p.data == nil {
 		return
 	}
+	// The ring walks in ascending seq, so missing comes out sorted.
 	missing := p.nackScratch[:0]
-	for seq, tries := range p.nackOutstanding {
-		if _, arrived := p.haveSeq[seq]; arrived || tries >= nackMaxTries {
-			delete(p.nackOutstanding, seq)
+	for seq, tries := range p.nackOutstanding.All() {
+		if tries >= nackMaxTries || p.haveSeq.Has(seq) {
+			p.nackOutstanding.Delete(seq)
 			continue
 		}
-		p.nackOutstanding[seq] = tries + 1
+		p.nackOutstanding.Put(seq, tries+1)
 		missing = append(missing, seq)
 	}
 	p.nackScratch = missing[:0]
 	if len(missing) == 0 {
 		return
-	}
-	// Insertion sort: missing lists are short, and a named sort (unlike
-	// sort.Slice) costs no closure.
-	for i := 1; i < len(missing); i++ {
-		for j := i; j > 0 && missing[j-1] > missing[j]; j-- {
-			missing[j-1], missing[j] = missing[j], missing[j-1]
-		}
 	}
 	for off := 0; off < len(missing); off += rdt.MaxNackSeqs {
 		end := off + rdt.MaxNackSeqs
@@ -733,31 +726,24 @@ func (p *Player) flushNacks() {
 	p.nackTimer = p.cfg.Clock.AfterHandler(nackRetry, (*nackArm)(p))
 }
 
-// gcSeqs bounds the FEC window memory. Seqs arrive (nearly) monotonically,
-// so expiry is a forward sweep from seqFloor rather than a whole-map scan
-// per packet; the occasional late retransmission below the floor is tracked
-// in lowSeqs and expired on the same sweep. The resulting set is identical
-// to the old full scan's at every step.
+// gcSeqs bounds the FEC window memory: once it holds more than window
+// packets, every seq more than window below the highest one expires. Seqs
+// arrive (nearly) monotonically, so the ring's DeleteBelow sweeps only the
+// seqs that aged out since the last call, amortized O(1) per packet; late
+// retransmissions below the previous cut sit at the bottom of the ring and
+// go in the same sweep.
 func (p *Player) gcSeqs() {
 	const window = 512
-	if len(p.haveSeq) <= window {
+	if p.haveSeq.Len() <= window {
 		return
 	}
 	cut := uint32(0)
 	if p.highestSeq > window {
 		cut = p.highestSeq - window
 	}
-	for ; p.seqFloor < cut; p.seqFloor++ {
-		delete(p.haveSeq, p.seqFloor)
-	}
-	if len(p.lowSeqs) > 0 {
-		// Every recorded low seq is below some earlier floor, hence below
-		// the current cut.
-		for _, s := range p.lowSeqs {
-			delete(p.haveSeq, s)
-		}
-		p.lowSeqs = p.lowSeqs[:0]
-	}
+	p.haveSeq.DeleteBelow(cut)
+	p.seqFloor = max(p.seqFloor, cut)
+	p.lowSeqs = p.lowSeqs[:0]
 }
 
 func (p *Player) assemble(d *rdt.Data) {
@@ -870,7 +856,7 @@ func (p *Player) onRepair(r *rdt.Repair) {
 	var seq uint32
 	nMissing := 0
 	for s := r.BaseSeq; s < r.BaseSeq+uint32(r.Group); s++ {
-		if _, ok := p.haveSeq[s]; !ok {
+		if !p.haveSeq.Has(s) {
 			seq = s
 			if nMissing++; nMissing > 1 {
 				return // >1 missing: unrecoverable by XOR

@@ -10,6 +10,7 @@ import (
 	"realtracer/internal/media"
 	"realtracer/internal/ratecontrol"
 	"realtracer/internal/rdt"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
@@ -112,7 +113,6 @@ func (s *Server) Snap(c *snap.Codec, stack *transport.Stack, app transport.AppCo
 		if *sess == nil {
 			*sess = &streamSession{
 				srv:         s,
-				sentVideo:   make(map[uint32]*rdt.Data),
 				failedRungs: make(map[int]int),
 			}
 		}
@@ -243,15 +243,12 @@ func (sess *streamSession) snap(c *snap.Codec, stack *transport.Stack, app trans
 
 	// The retransmit window persists its packets in sequence order; each
 	// decodes into the session's own arena and re-keys by its Seq.
-	n := c.Len(len(sess.sentVideo))
-	for _, seq := range snap.SortedKeys(sess.sentVideo) {
-		sess.sentVideo[seq].Snap(c)
-	}
-	for i := 0; i < n && c.Loading() && c.Err() == nil; i++ {
-		d := sess.arena.NewData()
-		d.Snap(c)
-		sess.sentVideo[d.Seq] = d
-	}
+	seqwin.SnapValues(c, &sess.sentVideo, func(c *snap.Codec, d **rdt.Data) {
+		if *d == nil {
+			*d = sess.arena.NewData()
+		}
+		(*d).Snap(c)
+	}, func(d *rdt.Data) uint32 { return d.Seq })
 	c.U32(&sess.sentFloor)
 	c.U32(&sess.videoFrameCtr)
 	c.U32(&sess.audioFrameCtr)

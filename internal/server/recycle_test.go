@@ -50,9 +50,9 @@ func TestSessionRecycleClearsState(t *testing.T) {
 	// The first session must be visibly dirty or the recycle proves nothing:
 	// UDP streaming populates the NACK retransmit window and advances the
 	// sequence counters and media clock.
-	if len(sess1.sentVideo) == 0 || sess1.videoSeq == 0 || sess1.mediaPos == 0 {
+	if sess1.sentVideo.Len() == 0 || sess1.videoSeq == 0 || sess1.mediaPos == 0 {
 		t.Fatalf("first session streamed nothing (sentVideo=%d videoSeq=%d mediaPos=%v)",
-			len(sess1.sentVideo), sess1.videoSeq, sess1.mediaPos)
+			sess1.sentVideo.Len(), sess1.videoSeq, sess1.mediaPos)
 	}
 	teardown(id1)
 	if len(r.srv.sessFree) != 1 || r.srv.sessFree[0] != sess1 {
@@ -70,7 +70,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 		t.Fatalf("recycled session kept its predecessor's ID %q", id2)
 	}
 	// At lease time — before PLAY — the recycled object must be clean.
-	if n := len(sess2.sentVideo); n != 0 {
+	if n := sess2.sentVideo.Len(); n != 0 {
 		t.Fatalf("recycled session inherited %d retransmit-window packets", n)
 	}
 	if sess2.videoSeq != 0 || sess2.audioSeq != 0 || sess2.mediaPos != 0 {

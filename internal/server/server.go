@@ -90,8 +90,9 @@ type Server struct {
 	nextID     int
 
 	// sessFree recycles streamSession objects: removeSession pushes,
-	// newStreamSession pops. A recycled session keeps its map storage, FEC
-	// scratch and packet arena so steady-state churn stops allocating.
+	// newStreamSession pops. A recycled session keeps its retransmit ring,
+	// map storage, FEC scratch and packet arena so steady-state churn stops
+	// allocating.
 	sessFree []*streamSession
 
 	// ctlConns tracks every accepted control connection so a world checkpoint

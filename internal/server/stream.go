@@ -7,6 +7,7 @@ import (
 	"realtracer/internal/ratecontrol"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
 )
@@ -90,10 +91,11 @@ type streamSession struct {
 	healthyChecks int
 
 	// sentVideo retains recently sent video packets for NACK retransmission
-	// (UDP only). sentFloor is the lowest seq possibly still present: video
-	// seqs are handed out monotonically, so expiry is a forward sweep from
-	// the floor instead of a full map scan per packet.
-	sentVideo map[uint32]*rdt.Data
+	// (UDP only), keyed by seq in a seqwin ring: video seqs are handed out
+	// monotonically, so the window is one contiguous run that expiry trims
+	// from below. sentFloor is the highest expiry cut so far; expiry does
+	// not need it, but the snapshot format records it.
+	sentVideo seqwin.Map[uint32, *rdt.Data]
 	sentFloor uint32
 
 	// Per-stream frame counters: the player relies on video FrameIndex
@@ -124,22 +126,19 @@ type streamSession struct {
 
 // newStreamSession leases a session object from the server's free-list (or
 // allocates the pool's first instances) and reinitializes it for one clip
-// playout. Recycled sessions keep their map storage, FEC scratch and packet
-// arena; everything else is reset field-by-field through the struct
-// literal, so a recycled session can never observe its predecessor's
-// retransmit window, feedback snapshot or timer state.
+// playout. Recycled sessions keep their retransmit ring, map storage, FEC
+// scratch and packet arena; everything else is reset field-by-field through
+// the struct literal, so a recycled session can never observe its
+// predecessor's retransmit window, feedback snapshot or timer state.
 func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.TransportSpec, maxKbps float64, cc *controlConn) *streamSession {
 	var sess *streamSession
 	if k := len(s.sessFree); k > 0 {
 		sess = s.sessFree[k-1]
 		s.sessFree = s.sessFree[:k-1]
-		clear(sess.sentVideo)
+		sess.sentVideo.Clear()
 		clear(sess.failedRungs)
 	} else {
-		sess = &streamSession{
-			sentVideo:   make(map[uint32]*rdt.Data),
-			failedRungs: make(map[int]int),
-		}
+		sess = &streamSession{failedRungs: make(map[int]int)}
 	}
 	*sess = streamSession{
 		srv:         s,
@@ -589,17 +588,17 @@ func (sess *streamSession) onFeedback(pkt *rdt.Packet) {
 }
 
 // rememberVideo retains a sent video packet for possible retransmission,
-// bounded to the recent window. Seqs are assigned monotonically, so the
-// expiry sweep walks forward from sentFloor — amortized O(1) per packet
-// where a whole-map scan used to dominate the campaign CPU profile.
+// bounded to the recent window. Seqs are assigned monotonically, so once the
+// window is full each packet expires the ones more than window seqs behind
+// it: the ring's DeleteBelow sweeps just that span, amortized O(1) per
+// packet.
 func (sess *streamSession) rememberVideo(d *rdt.Data) {
 	const window = 512
-	sess.sentVideo[d.Seq] = d
-	if len(sess.sentVideo) > window {
+	sess.sentVideo.Put(d.Seq, d)
+	if sess.sentVideo.Len() > window {
 		cut := d.Seq - window
-		for ; sess.sentFloor < cut; sess.sentFloor++ {
-			delete(sess.sentVideo, sess.sentFloor)
-		}
+		sess.sentVideo.DeleteBelow(cut)
+		sess.sentFloor = max(sess.sentFloor, cut)
 	}
 }
 
@@ -611,7 +610,7 @@ func (sess *streamSession) retransmit(nk *rdt.Nack) {
 		return
 	}
 	for _, seq := range nk.Seqs {
-		if d, ok := sess.sentVideo[seq]; ok {
+		if d, ok := sess.sentVideo.Get(seq); ok {
 			sess.sendData(sess.arena.Wrap(d))
 		}
 	}

@@ -23,6 +23,32 @@ func afterTag(t *testing.T, snap []byte, name string, from int) int {
 	return from + i + len(tag)
 }
 
+// fecWindow returns the offset of the key count of the first player FEC
+// window (haveSeq) in snap holding at least 8 keys. The window encodes as
+// the player's highest seq, the count, then the keys in ascending order,
+// and the highest seq received is always the window's last key: the scan
+// looks for exactly that shape after the first player tag.
+func fecWindow(t *testing.T, snap []byte) int {
+	t.Helper()
+	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(snap[i:]) }
+	for i := afterTag(t, snap, "player", 0); i+8 <= len(snap); i++ {
+		highest, n := u32(i), int(u32(i+4))
+		keys := i + 8
+		if n < 8 || n > 4096 || keys+4*n > len(snap) || u32(keys+4*(n-1)) != highest {
+			continue
+		}
+		ascending := true
+		for j := 1; j < n && ascending; j++ {
+			ascending = u32(keys+4*(j-1)) < u32(keys+4*j)
+		}
+		if ascending {
+			return i + 4
+		}
+	}
+	t.Fatal("snapshot holds no player FEC window with 8 or more keys")
+	return 0
+}
+
 // TestResumeRejectsHostileSnapshots hand-corrupts fields whose decoded
 // values used to reach a panic or an unbounded allocation, and requires
 // Resume to return an error — promptly, and without panicking.
@@ -48,6 +74,8 @@ func TestResumeRejectsHostileSnapshots(t *testing.T) {
 	// mediaPos and the has-source flag just before its frame-source tag.
 	fsrc := afterTag(t, open, "fsrc", 0) - 8
 	encIdx := fsrc - 1 - 8 - 8 - 1 - 1 - 8
+	// A player's FEC window: count, then 4-byte keys.
+	fecKeys := fecWindow(t, open) + 4
 
 	// Options block: magic, then the length-prefixed options bytes.
 	magicEnd := 4 + len(snapMagic)
@@ -69,6 +97,17 @@ func TestResumeRejectsHostileSnapshots(t *testing.T) {
 			return b
 		}, "exceeds"},
 		{"encoding index", put64(encIdx, 1<<20), "encoding index"},
+		{"sequence keys out of order", func(b []byte) []byte {
+			copy(b[fecKeys+4:fecKeys+8], b[fecKeys:fecKeys+4])
+			return b
+		}, "strictly ascending"},
+		{"sequence key span", func(b []byte) []byte {
+			// Keys 0 and 2^32-1 in one window would size a ring for the
+			// whole key space.
+			binary.LittleEndian.PutUint32(b[fecKeys:], 0)
+			binary.LittleEndian.PutUint32(b[fecKeys+4:], 0xFFFFFFFF)
+			return b
+		}, "span"},
 		{"options trailing bytes", func(b []byte) []byte {
 			// Re-frame the options block with three extra bytes and a
 			// matching hash, so only the trailing-bytes check can object.

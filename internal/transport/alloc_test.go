@@ -2,6 +2,7 @@ package transport
 
 import (
 	"testing"
+	"time"
 
 	"realtracer/internal/netsim"
 	"realtracer/internal/simclock"
@@ -101,4 +102,80 @@ func BenchmarkPacketHopTCP(b *testing.B) {
 		conn.Send(nil, 500)
 		clock.Run()
 	}
+}
+
+// tcpWindowWorld builds a bulk TCP transfer over a lossy, jittery route: an
+// established conn from a to b whose sender keeps its window full, so the
+// inflight set holds up to rwndSegs segments and the route's losses drive
+// fast retransmits, timeouts and reorder-buffer drains. step offers one
+// more message and runs the clock until the sender's backlog is back to
+// two windows; got counts in-order deliveries at b.
+func tcpWindowWorld(tb testing.TB) (step func(), c *simTCP, got *int) {
+	clock := simclock.New()
+	route := netsim.Route{OneWayDelay: 20 * time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
+	n := netsim.New(clock, netsim.StaticRoute(route), 3)
+	n.AddHost(netsim.HostConfig{Name: "a", Access: netsim.DefaultAccessProfile(netsim.AccessServer)})
+	n.AddHost(netsim.HostConfig{Name: "b", Access: netsim.DefaultAccessProfile(netsim.AccessServer)})
+	sa := NewStack(n, "a")
+	sb := NewStack(n, "b")
+	got = new(int)
+	sb.Listen(554, func(c Conn) { c.SetReceiver(func(any, int) { *got++ }) })
+	sa.DialTCP("b:554", func(conn Conn, err error) {
+		if err != nil {
+			tb.Fatalf("dial: %v", err)
+		}
+		c = conn.(*simTCP)
+	})
+	clock.Run()
+	if c == nil {
+		tb.Fatal("handshake did not complete")
+	}
+	step = func() {
+		c.Send(nil, 1000)
+		for c.QueueDepth() > 2*rwndSegs {
+			if !clock.Step() {
+				tb.Fatal("bulk transfer stalled with a backlog")
+			}
+		}
+	}
+	return step, c, got
+}
+
+// TestTCPWindowAllocBudget holds the full-window TCP path — inflight ring,
+// cumulative-ACK sweeps, fast retransmit, timeout requeue and reorder
+// drains — to the per-packet allocation budget of the two-host world.
+func TestTCPWindowAllocBudget(t *testing.T) {
+	step, c, got := tcpWindowWorld(t)
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	before := *got
+	avg := testing.AllocsPerRun(8192, step)
+	if *got-before < 8192 {
+		t.Fatalf("deliveries = %d, want at least 8192 (world misconfigured)", *got-before)
+	}
+	if c.fastRexmits == 0 || c.timeouts == 0 {
+		t.Fatalf("fast retransmits %d, timeouts %d: the route must exercise both", c.fastRexmits, c.timeouts)
+	}
+	if avg > packetAllocBudget {
+		t.Fatalf("full-window allocs per delivered segment = %.2f, budget %.2f", avg, packetAllocBudget)
+	}
+}
+
+// BenchmarkTCPWindow is the full-window counterpart of BenchmarkPacketHopTCP:
+// each iteration offers one segment to a bulk sender that keeps up to
+// rwndSegs segments in flight over a lossy route, so per-ACK sweeps of the
+// inflight set and loss recovery are in the measured path.
+func BenchmarkTCPWindow(b *testing.B) {
+	step, c, _ := tcpWindowWorld(b)
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	rexmits := c.retransmits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(c.retransmits-rexmits)/float64(b.N), "rexmits/op")
 }

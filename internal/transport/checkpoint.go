@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"realtracer/internal/netsim"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 )
@@ -133,7 +134,7 @@ func (tbl *ConnTable) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any 
 // owned segments serialize by reference to preserve shared-mutation
 // semantics.
 func (c *simTCP) ownsSeg(seg *tcpSeg) bool {
-	if s, ok := c.inflight[seg.seq]; ok && s == seg {
+	if s, ok := c.inflight.Get(seg.seq); ok && s == seg {
 		return true
 	}
 	for _, s := range c.queue[c.qhead:] {
@@ -147,7 +148,7 @@ func (c *simTCP) ownsSeg(seg *tcpSeg) bool {
 // findSeg is ownsSeg's restore-side mirror: resolve a (conn, seq) reference
 // to the conn's live segment.
 func (c *simTCP) findSeg(seq uint64) *tcpSeg {
-	if s, ok := c.inflight[seq]; ok {
+	if s, ok := c.inflight.Get(seq); ok {
 		return s
 	}
 	for _, s := range c.queue[c.qhead:] {
@@ -337,8 +338,8 @@ func snapSimTCP(c *snap.Codec, conn *Conn, s *Stack, app AppCodec, tbl *ConnTabl
 	if c.Loading() {
 		t.queue = live
 	}
-	snap.SortedMap(c, &t.inflight, (*snap.Codec).U64, seg)
-	snap.SortedMap(c, &t.reorder, (*snap.Codec).U64, seg)
+	seqwin.Snap(c, &t.inflight, (*snap.Codec).U64, seg)
+	seqwin.Snap(c, &t.reorder, (*snap.Codec).U64, seg)
 
 	c.U64(&t.retransmits)
 	c.U64(&t.fastRexmits)

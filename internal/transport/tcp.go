@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"realtracer/internal/netsim"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 )
 
@@ -38,7 +39,11 @@ type simTCP struct {
 	sendBase uint64    // oldest unacked
 	queue    []*tcpSeg // send queue; live region is queue[qhead:]
 	qhead    int       // consumed prefix — see pump (head index, not re-slice)
-	inflight map[uint64]*tcpSeg
+	// inflight holds the transmitted, unacknowledged segments by seq. The
+	// keys sit in the send window, which the cumulative ACK slides
+	// forward, so a seqwin ring serves every lookup without hashing, and
+	// its ascending walk hands the timeout requeue its seq order directly.
+	inflight seqwin.Map[uint64, *tcpSeg]
 	cwnd     float64 // congestion window, segments
 	ssthresh float64
 	dupAcks  int
@@ -49,9 +54,10 @@ type simTCP struct {
 	rto          time.Duration
 	rtoTimer     simclock.Timer
 
-	// Receiver state.
+	// Receiver state. reorder buffers out-of-order segments at or above
+	// rcvNext, keyed by seq, until the hole below them fills.
 	rcvNext uint64
-	reorder map[uint64]*tcpSeg
+	reorder seqwin.Map[uint64, *tcpSeg]
 
 	// Segment slab: segments are carved out of chunked backing arrays, one
 	// chunk allocation per segChunk segments instead of one per Send. Slab
@@ -95,8 +101,6 @@ func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 		raddrID:  s.net.Intern(raddr.Host()),
 		lport:    laddr.Port(),
 		rport:    raddr.Port(),
-		inflight: make(map[uint64]*tcpSeg),
-		reorder:  make(map[uint64]*tcpSeg),
 		cwnd:     2,
 		ssthresh: 64,
 		rto:      initialRTO,
@@ -166,7 +170,7 @@ func (c *simTCP) RTT() time.Duration { return c.srtt }
 // QueueDepth reports how many messages are waiting or in flight — the
 // sender-side backlog a streaming server watches to detect that TCP cannot
 // sustain the media rate.
-func (c *simTCP) QueueDepth() int { return len(c.queue) - c.qhead + len(c.inflight) }
+func (c *simTCP) QueueDepth() int { return len(c.queue) - c.qhead + c.inflight.Len() }
 
 // Counters returns (retransmits, fastRetransmits, timeouts).
 func (c *simTCP) Counters() (uint64, uint64, uint64) {
@@ -182,7 +186,7 @@ func (c *simTCP) pump() {
 	if limit > rwndSegs {
 		limit = rwndSegs
 	}
-	for c.qhead < len(c.queue) && len(c.inflight) < limit {
+	for c.qhead < len(c.queue) && c.inflight.Len() < limit {
 		seg := c.queue[c.qhead]
 		c.qhead++
 		if seg.seq < c.sendBase {
@@ -195,7 +199,7 @@ func (c *simTCP) pump() {
 func (c *simTCP) transmit(seg *tcpSeg, rexmit bool) {
 	seg.ts = c.stack.clock.Now()
 	seg.rexmit = seg.rexmit || rexmit
-	c.inflight[seg.seq] = seg
+	c.inflight.Put(seg.seq, seg)
 	c.segsSent++
 	if rexmit {
 		c.retransmits++
@@ -227,7 +231,7 @@ func (c *simTCP) Fire(time.Duration) { c.onRTO() }
 
 func (c *simTCP) armRTO() {
 	c.rtoTimer.Cancel()
-	if len(c.inflight) == 0 {
+	if c.inflight.Len() == 0 {
 		c.rtoTimer = simclock.Timer{}
 		return
 	}
@@ -235,7 +239,7 @@ func (c *simTCP) armRTO() {
 }
 
 func (c *simTCP) onRTO() {
-	if c.closed || len(c.inflight) == 0 {
+	if c.closed || c.inflight.Len() == 0 {
 		return
 	}
 	c.timeouts++
@@ -255,44 +259,28 @@ func (c *simTCP) onRTO() {
 	c.cwnd = 1
 	c.dupAcks = 0
 	c.rto = minDur(c.rto*2, maxRTO)
-	oldest := c.oldestInflight()
+	// The ring walks in ascending seq, so the batch is already in send
+	// order.
+	oldestSeq, _ := c.inflight.Min()
+	oldest, _ := c.inflight.Get(oldestSeq)
 	requeue := c.requeue[:0]
-	for seq, seg := range c.inflight {
-		if seg == oldest {
+	for seq, seg := range c.inflight.All() {
+		if seq == oldestSeq {
 			continue
 		}
 		seg.rexmit = true // Karn: never RTT-sample these again
 		requeue = append(requeue, seg)
-		delete(c.inflight, seq)
-	}
-	// Insertion sort into seq order: flights are at most rwndSegs segments,
-	// and a named sort here (unlike sort.Slice) costs no closure.
-	for i := 1; i < len(requeue); i++ {
-		for j := i; j > 0 && requeue[j-1].seq > requeue[j].seq; j-- {
-			requeue[j-1], requeue[j] = requeue[j], requeue[j-1]
-		}
+		c.inflight.Delete(seq)
 	}
 	// Prepend in place: grow the queue, shift the existing tail right, and
-	// copy the sorted retransmit batch to the front. The scratch slice keeps
-	// its storage for the next timeout.
+	// copy the retransmit batch to the front. The scratch slice keeps its
+	// storage for the next timeout.
 	n := len(requeue)
 	c.queue = append(c.queue, requeue...)
 	copy(c.queue[c.qhead+n:], c.queue[c.qhead:len(c.queue)-n])
 	copy(c.queue[c.qhead:c.qhead+n], requeue)
 	c.requeue = requeue[:0]
-	if oldest != nil {
-		c.transmit(oldest, true)
-	}
-}
-
-func (c *simTCP) oldestInflight() *tcpSeg {
-	var oldest *tcpSeg
-	for _, seg := range c.inflight {
-		if oldest == nil || seg.seq < oldest.seq {
-			oldest = seg
-		}
-	}
-	return oldest
+	c.transmit(oldest, true)
 }
 
 // onPacket handles every arrival addressed to this conn: segments from the
@@ -360,21 +348,17 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 	ackTS, ackEchoOK := seg.ts, !seg.rexmit
 	// Old and duplicate segments are dropped — and, as with every drop on
 	// the receive path, a shard-transit copy goes straight back to the pool.
-	if seg.seq >= c.rcvNext {
-		if _, dup := c.reorder[seg.seq]; !dup {
-			c.reorder[seg.seq] = seg
-		} else {
-			c.stack.net.ReleaseTransit(seg)
-		}
+	if seg.seq >= c.rcvNext && !c.reorder.Has(seg.seq) {
+		c.reorder.Put(seg.seq, seg)
 	} else {
 		c.stack.net.ReleaseTransit(seg)
 	}
 	for {
-		next, ok := c.reorder[c.rcvNext]
+		next, ok := c.reorder.Get(c.rcvNext)
 		if !ok {
 			break
 		}
-		delete(c.reorder, c.rcvNext)
+		c.reorder.Delete(c.rcvNext)
 		c.rcvNext++
 		c.segsDelivered++
 		if c.recv != nil {
@@ -399,16 +383,10 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 
 func (c *simTCP) onAck(a *tcpAck) {
 	if a.cumAck > c.sendBase {
-		// New data acknowledged. Sweep everything below the cumulative ACK
-		// out of the inflight set (it may contain pre-timeout stragglers
-		// below sendBase too).
-		acked := 0
-		for seq := range c.inflight {
-			if seq < a.cumAck {
-				delete(c.inflight, seq)
-				acked++
-			}
-		}
+		// New data acknowledged. Drop everything below the cumulative ACK
+		// from the inflight ring: one sweep over the newly acknowledged
+		// span, counting the segments it frees for window growth.
+		acked := c.inflight.DeleteBelow(a.cumAck)
 		c.sendBase = a.cumAck
 		c.dupAcks = 0
 		c.consecutiveRTOs = 0
@@ -433,14 +411,14 @@ func (c *simTCP) onAck(a *tcpAck) {
 		c.pump()
 		return
 	}
-	if a.cumAck == c.sendBase && len(c.inflight) > 0 {
+	if a.cumAck == c.sendBase && c.inflight.Len() > 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 {
 			// Fast retransmit + multiplicative decrease.
 			c.fastRexmits++
 			c.ssthresh = maxF(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
-			if seg, ok := c.inflight[c.sendBase]; ok {
+			if seg, ok := c.inflight.Get(c.sendBase); ok {
 				c.transmit(seg, true)
 			}
 		}
